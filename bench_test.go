@@ -13,7 +13,10 @@ import (
 	"testing"
 
 	"treesls/internal/caps"
+	"treesls/internal/checkpoint"
 	"treesls/internal/experiments"
+	"treesls/internal/mem"
+	"treesls/internal/simclock"
 )
 
 func BenchmarkFunctionalCrashRestore(b *testing.B) {
@@ -267,4 +270,94 @@ func BenchmarkCrashRestore(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Host-side microbenchmarks of the simulator's own hot paths (they measure
+// the Go program, not the simulated machine). Run with
+//
+//	go test -run '^$' -bench 'MemFence|ReplCapture|PageChecksum' -benchmem
+
+// BenchmarkMemFence: an ADR write buffer holding 16 Ki dirty lines, with one
+// line stored, flushed and fenced per iteration. The fence visits only the
+// lines flushed since the previous one, so the cost must not grow with the
+// buffer.
+func BenchmarkMemFence(b *testing.B) {
+	m := mem.New(mem.Config{NVMFrames: 1024, DRAMFrames: 1, Persist: mem.ModeADR},
+		simclock.DefaultCostModel())
+	page := make([]byte, mem.PageSize)
+	for f := uint32(0); f < 256; f++ {
+		m.WriteAt(mem.PageID{Kind: mem.KindNVM, Frame: f}, 0, page)
+	}
+	hot := mem.PageID{Kind: mem.KindNVM, Frame: 512}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.WriteAt(hot, 0, page[:8])
+		m.Flush(hot, 0, 8)
+		m.Fence()
+	}
+	b.ReportMetric(float64(m.UnflushedLines()), "buffered-lines")
+}
+
+// BenchmarkReplCapture: replication capture and diff of a 1024-page heap in
+// which one page changed since the previous image. Unchanged pages are
+// shared with the previous image rather than copied and compared.
+func BenchmarkReplCapture(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.CheckpointEvery = 0
+	m := New(cfg)
+	p, err := m.NewProcess("heap", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const pages = 1024
+	va, _, err := p.Mmap(pages, PMODefault)
+	if err != nil {
+		b.Fatal(err)
+	}
+	write := func(i, v uint64) {
+		if _, err := m.Run(p, p.MainThread(), func(e *Env) error {
+			return e.WriteU64(va+i*mem.PageSize, v)
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := uint64(0); i < pages; i++ {
+		write(i, i+1)
+	}
+	m.TakeCheckpoint()
+	prev := m.Ckpt.CaptureReplImage(m.SwapReadSlot, nil)
+	var puts int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		write(uint64(i)%pages, uint64(i))
+		m.TakeCheckpoint()
+		b.StartTimer()
+		img := m.Ckpt.CaptureReplImage(m.SwapReadSlot, prev)
+		puts = len(checkpoint.DiffImages(prev, img).Puts)
+		prev = img
+	}
+	b.ReportMetric(float64(puts), "puts/round")
+}
+
+// BenchmarkPageChecksum: the memoized frame sum on a hit (bytes unchanged
+// since the last sum) and on a miss (one byte stored, so the page is
+// re-hashed).
+func BenchmarkPageChecksum(b *testing.B) {
+	m := mem.New(mem.Config{NVMFrames: 4, DRAMFrames: 1}, simclock.DefaultCostModel())
+	p := mem.PageID{Kind: mem.KindNVM, Frame: 1}
+	m.WriteRaw(p, 0, []byte("page"))
+	b.Run("memo-hit", func(b *testing.B) {
+		m.Sum(p)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Sum(p)
+		}
+	})
+	b.Run("memo-miss", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.WriteRaw(p, 0, []byte{byte(i)})
+			m.Sum(p)
+		}
+	})
 }

@@ -524,7 +524,7 @@ func TestReplicaRepairsCorruptBackup(t *testing.T) {
 	r := pmo.ORoot()
 	snap := r.Backup[0].(*caps.PMOSnap)
 	cp, _ := snap.Pages.Get(0)
-	copy(h.mem.Data(cp.Page[0]), []byte("CORRUPTED!"))
+	h.mem.InjectRot(cp.Page[0], 0, 10, 1)
 
 	h.crash()
 	tree := h.restore(t)

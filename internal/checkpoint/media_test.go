@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"math/rand"
 	"testing"
 
 	"treesls/internal/caps"
@@ -65,6 +66,73 @@ func TestChecksumDetectsSilentRotWithoutReplicas(t *testing.T) {
 	}
 	if man := h.mgr.Manifest(); man == nil || len(man.Degraded) != 1 {
 		t.Errorf("manifest = %+v, want one degraded entry", man)
+	}
+}
+
+// TestMemoSumMatchesPageChecksum: the frame sums mem memoizes are the
+// digests checksumPage used to compute by hashing, on random content.
+func TestMemoSumMatchesPageChecksum(t *testing.T) {
+	h := newHarness(t, DefaultConfig(), 1)
+	rng := rand.New(rand.NewSource(3))
+	buf := make([]byte, mem.PageSize)
+	for i := 0; i < 16; i++ {
+		rng.Read(buf)
+		p := mem.PageID{Kind: mem.KindNVM, Frame: uint32(200 + i)}
+		h.mem.WriteRaw(p, 0, buf)
+		if got, want := h.mem.Sum(p), pageChecksum(h.mem.Data(p)); got != want {
+			t.Fatalf("page %v: memoized sum %#x, pageChecksum %#x", p, got, want)
+		}
+	}
+}
+
+// TestRotUnderValidMemoCaughtOnRestore: the newest backup's digest was
+// established from a memoized frame sum; rot injected afterwards is still
+// caught at restore. The memo-blind case changes a byte behind mem's back,
+// so the frame's memo stays "valid" but stale — only a verifier that
+// re-hashes the bytes, as verifySource must, can catch it.
+func TestRotUnderValidMemoCaughtOnRestore(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rot  func(m *mem.Memory, p mem.PageID)
+	}{
+		{"InjectRot", func(m *mem.Memory, p mem.PageID) { m.InjectRot(p, 0, mem.LineSize, 3) }},
+		{"memo-blind", func(m *mem.Memory, p mem.PageID) { m.Data(p)[0] ^= 0x40 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Replicas = 0
+			h, _, cp := hotPageTwoBackups(t, cfg)
+			victim := cp.Page[newestSlot(cp)]
+			if want, ok := h.mgr.sums[victim]; !ok || h.mem.Sum(victim) != want {
+				t.Fatalf("newest backup %v: digest %#x (ok=%v), memo %#x", victim, want, ok, h.mem.Sum(victim))
+			}
+			tc.rot(h.mem, victim)
+
+			h.crash()
+			tree := h.restore(t)
+			if got := h.readPage(t, findPMO(tree), 0, 6); string(got) != "DDDDDD" {
+				t.Errorf("restored = %q, want older intact version %q", got, "DDDDDD")
+			}
+			if h.mgr.Stats.DegradedRestores != 1 {
+				t.Errorf("DegradedRestores = %d, want 1", h.mgr.Stats.DegradedRestores)
+			}
+		})
+	}
+}
+
+// TestScrubCatchesMemoBlindRot: the scrubber re-hashes too, so a byte
+// changed behind mem's back (memo still valid, but stale) is found and
+// repaired from the replica.
+func TestScrubCatchesMemoBlindRot(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Replicas = 2
+	h, _, cp := hotPageTwoBackups(t, cfg)
+	victim := cp.Page[newestSlot(cp)]
+	h.mem.Sum(victim)
+	h.mem.Data(victim)[0] ^= 0x40
+
+	if sr := h.mgr.Scrub(h.lane()); sr.Repaired != 1 || sr.Unrepairable != 0 {
+		t.Fatalf("scrub report = %+v, want exactly one repair", sr)
 	}
 }
 

@@ -503,7 +503,7 @@ func (m *Manager) updateReplica(lane *simclock.Lane, p mem.PageID) {
 	}
 	lane.Charge(m.memory.CopyPage(rep.copy, p))
 	m.flushPage(lane, rep.copy)
-	rep.sum = pageChecksum(m.memory.Data(p))
+	rep.sum = m.memory.Sum(p)
 }
 
 // dropReplica releases the replica of a reclaimed backup page.

@@ -70,8 +70,22 @@ type ReplImage struct {
 	NextID uint64
 	// RootID is the object ID of the backup root cap group.
 	RootID uint64
-	// Entries maps stable keys to canonical records.
+	// Entries maps stable keys to canonical records. Records are never
+	// mutated once captured, so consecutive images may share them.
 	Entries map[ReplKey][]byte
+
+	// memory and src record where each ReplPage entry of a captured image
+	// was copied from: the frame and its write generation. The next
+	// capture from the same memory reuses a record whose source frame is
+	// unchanged instead of copying the page again.
+	memory *mem.Memory
+	src    map[ReplKey]pageStamp
+}
+
+// pageStamp names one version of a frame's bytes.
+type pageStamp struct {
+	page mem.PageID
+	gen  uint64
 }
 
 // Delta is the difference between two replication images: the records that
@@ -215,12 +229,25 @@ type replPageMeta struct {
 // may be nil when the machine never swaps. Capture is pure Go-side work —
 // simulated cost is charged by the caller per *delta* entry, matching the
 // incremental-walk philosophy (unchanged state costs a tree visit, not a
-// copy).
-func (m *Manager) CaptureReplImage(swapRead func(slot uint64) []byte) *ReplImage {
+// copy). prev, when non-nil, is an earlier image captured from this
+// manager: a page whose source frame has not been written since is shared
+// with prev instead of copied, which also lets DiffImages skip it on
+// bytes.Equal's pointer check.
+func (m *Manager) CaptureReplImage(swapRead func(slot uint64) []byte, prev *ReplImage) *ReplImage {
+	var prevSrc map[ReplKey]pageStamp
+	size := 0
+	if prev != nil {
+		size = len(prev.Entries)
+		if prev.memory == m.memory {
+			prevSrc = prev.src
+		}
+	}
 	img := &ReplImage{
 		Version: m.committed,
 		NextID:  m.savedNextID,
-		Entries: make(map[ReplKey][]byte),
+		Entries: make(map[ReplKey][]byte, size),
+		memory:  m.memory,
+		src:     make(map[ReplKey]pageStamp, len(prevSrc)),
 	}
 	if m.rootORoot == nil || m.committed == 0 {
 		return img
@@ -298,9 +325,17 @@ func (m *Manager) CaptureReplImage(swapRead func(slot uint64) []byte) *ReplImage
 					metas = append(metas, replPageMeta{Idx: idx, Marker: replMarkNoSource})
 				default:
 					metas = append(metas, replPageMeta{Idx: idx, Marker: replMarkContent})
-					content := make([]byte, mem.PageSize)
-					copy(content, m.memory.Data(cp.Page[src]))
-					img.Entries[ReplKey{ObjID: r.ObjID, Page: idx, Kind: ReplPage}] = content
+					key := ReplKey{ObjID: r.ObjID, Page: idx, Kind: ReplPage}
+					st := pageStamp{page: cp.Page[src], gen: m.memory.Gen(cp.Page[src])}
+					var content []byte
+					if old, ok := prevSrc[key]; ok && old == st {
+						content = prev.Entries[key]
+					} else {
+						content = make([]byte, mem.PageSize)
+						copy(content, m.memory.Data(st.page))
+					}
+					img.Entries[key] = content
+					img.src[key] = st
 				}
 				return true
 			})
@@ -385,6 +420,7 @@ func FoldDelta(img *ReplImage, d *Delta) *ReplImage {
 	if img.Entries == nil || d.Full {
 		img.Entries = make(map[ReplKey][]byte, len(d.Puts))
 	}
+	img.memory, img.src = nil, nil // a folded image no longer mirrors frames
 	for _, p := range d.Puts {
 		img.Entries[p.Key] = p.Data
 	}

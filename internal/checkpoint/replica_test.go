@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"treesls/internal/caps"
+	"treesls/internal/mem"
 )
 
 // buildReplicaWorld populates a harness tree with one of every object kind
@@ -32,7 +33,7 @@ func TestCaptureDiffFoldRoundTrip(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
 	pmo := buildReplicaWorld(t, h)
 	h.checkpoint()
-	img1 := h.mgr.CaptureReplImage(nil)
+	img1 := h.mgr.CaptureReplImage(nil, nil)
 	if img1.Version != 1 || img1.RootID == 0 || len(img1.Entries) == 0 {
 		t.Fatalf("capture: v%d root %d, %d entries", img1.Version, img1.RootID, len(img1.Entries))
 	}
@@ -40,7 +41,7 @@ func TestCaptureDiffFoldRoundTrip(t *testing.T) {
 	h.writePage(t, pmo, 0, []byte("changed"))
 	h.writePage(t, pmo, 5, []byte("new page"))
 	h.checkpoint()
-	img2 := h.mgr.CaptureReplImage(nil)
+	img2 := h.mgr.CaptureReplImage(nil, nil)
 
 	full := DiffImages(nil, img2)
 	if !full.Full || len(full.Dels) != 0 || len(full.Puts) != len(img2.Entries) {
@@ -75,13 +76,13 @@ func TestDiffTombstones(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
 	pmo := buildReplicaWorld(t, h)
 	h.checkpoint()
-	img1 := h.mgr.CaptureReplImage(nil)
+	img1 := h.mgr.CaptureReplImage(nil, nil)
 	// Dropping a page makes its content key vanish from the next image.
 	if s := pmo.RemovePage(2); s != nil {
 		h.mgr.DeferFreePage(s.Page)
 	}
 	h.checkpoint()
-	img2 := h.mgr.CaptureReplImage(nil)
+	img2 := h.mgr.CaptureReplImage(nil, nil)
 	inc := DiffImages(img1, img2)
 	if len(inc.Dels) == 0 {
 		t.Fatalf("removed page produced no tombstones")
@@ -90,6 +91,68 @@ func TestDiffTombstones(t *testing.T) {
 	if !reflect.DeepEqual(folded.Entries, img2.Entries) {
 		t.Fatalf("fold with tombstones diverged")
 	}
+}
+
+// TestIncrementalCaptureSharesUnchangedPages: a capture given the previous
+// image shares the records of pages whose source frame was not written,
+// copies the rest, and is entry-for-entry the image a fresh capture builds.
+// A capture from another machine's memory, or against a folded image,
+// shares nothing.
+func TestIncrementalCaptureSharesUnchangedPages(t *testing.T) {
+	h := newHarness(t, DefaultConfig(), 1)
+	pmo := buildReplicaWorld(t, h)
+	h.checkpoint()
+	img1 := h.mgr.CaptureReplImage(nil, nil)
+	h.writePage(t, pmo, 0, []byte("changed"))
+	h.checkpoint()
+	img2 := h.mgr.CaptureReplImage(nil, img1)
+	fresh := h.mgr.CaptureReplImage(nil, nil)
+	if !reflect.DeepEqual(img2.Entries, fresh.Entries) {
+		t.Fatal("incremental capture differs from a fresh capture")
+	}
+	shared := func(a, b *ReplImage, page uint64) bool {
+		k := ReplKey{ObjID: pmo.ORoot().ObjID, Page: page, Kind: ReplPage}
+		return &a.Entries[k][0] == &b.Entries[k][0]
+	}
+	if shared(img1, img2, 0) {
+		t.Error("the rewritten page's record was reused")
+	}
+	if !shared(img1, img2, 1) || !shared(img1, img2, 2) {
+		t.Error("unchanged pages were copied instead of shared")
+	}
+	if d := DiffImages(img1, img2); len(d.Puts) == 0 || len(d.Puts) >= len(img2.Entries) {
+		t.Fatalf("incremental diff shipped %d of %d entries", len(d.Puts), len(img2.Entries))
+	}
+
+	// Rot bumps the frame's generation: the next capture copies the page.
+	src := replSource(pageOf(t, pmo, 1), h.mgr.CommittedVersion())
+	h.mem.InjectRot(pageOf(t, pmo, 1).Page[src], 0, mem.LineSize, 1)
+	img3 := h.mgr.CaptureReplImage(nil, img2)
+	if shared(img2, img3, 1) {
+		t.Error("a rotted page's record was reused")
+	}
+
+	// Foreign memory and folded images (even one folded in place over a
+	// capture) never share.
+	h2 := newHarness(t, DefaultConfig(), 1)
+	buildReplicaWorld(t, h2)
+	h2.checkpoint()
+	if other := h2.mgr.CaptureReplImage(nil, img3); shared(img3, other, 2) {
+		t.Error("capture shared a record with another machine's image")
+	}
+	folded := FoldDelta(h.mgr.CaptureReplImage(nil, img3), DiffImages(img3, img3))
+	if again := h.mgr.CaptureReplImage(nil, folded); shared(folded, again, 2) {
+		t.Error("capture shared a record with a folded image")
+	}
+}
+
+func pageOf(t *testing.T, pmo *caps.PMO, idx uint64) *caps.CkptPage {
+	t.Helper()
+	cp, ok := pmo.ORoot().Backup[0].(*caps.PMOSnap).Pages.Get(idx)
+	if !ok {
+		t.Fatalf("page %d has no checkpointed entry", idx)
+	}
+	return cp
 }
 
 func cloneImage(img *ReplImage) *ReplImage {
@@ -120,7 +183,7 @@ func TestInstallImageGuards(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
 	buildReplicaWorld(t, h)
 	h.checkpoint()
-	img := h.mgr.CaptureReplImage(nil)
+	img := h.mgr.CaptureReplImage(nil, nil)
 	// Non-fresh manager: the primary itself refuses an install.
 	if err := h.mgr.InstallImage(h.lane(), img, nil); err == nil {
 		t.Fatalf("InstallImage on a non-fresh manager must fail")
@@ -158,7 +221,7 @@ func TestInstallImageRoundTrip(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
 	buildReplicaWorld(t, h)
 	h.checkpoint()
-	img := h.mgr.CaptureReplImage(nil)
+	img := h.mgr.CaptureReplImage(nil, nil)
 
 	h2 := newHarness(t, DefaultConfig(), 1)
 	if err := h2.mgr.InstallImage(h2.lane(), img, nil); err != nil {
@@ -168,7 +231,7 @@ func TestInstallImageRoundTrip(t *testing.T) {
 		t.Fatalf("installed manager committed v%d, want v%d", h2.mgr.CommittedVersion(), img.Version)
 	}
 	// The installed backup tree captures back to the identical image.
-	img2 := h2.mgr.CaptureReplImage(nil)
+	img2 := h2.mgr.CaptureReplImage(nil, nil)
 	if !reflect.DeepEqual(img.Entries, img2.Entries) {
 		t.Fatalf("capture(install(img)) != img (%d vs %d entries)", len(img.Entries), len(img2.Entries))
 	}

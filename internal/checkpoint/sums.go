@@ -23,12 +23,15 @@ import (
 // checkpoint protocol (re)establishes p as a restore source: backup copies
 // at their write, rule-2 runtime pages at their covering commit. The digest
 // lives beside the CkptPage metadata (Go-modeled, hence atomic); the
-// simulated cost of the hashing pass is charged to lane.
+// simulated cost of the hashing pass is charged to lane. The value comes
+// from the frame's memoized sum, which equals a fresh hash of the bytes:
+// establishing a digest may trust the memo, verifying one (verifySource)
+// may not.
 func (m *Manager) checksumPage(lane *simclock.Lane, p mem.PageID) {
 	if m.cfg.DisableChecksums || p.IsNil() || p.Kind != mem.KindNVM {
 		return
 	}
-	m.sums[p] = pageChecksum(m.memory.Data(p))
+	m.sums[p] = m.memory.Sum(p)
 	if lane != nil {
 		lane.Charge(m.model.ChecksumPage)
 	}
@@ -47,7 +50,8 @@ func (m *Manager) dropSum(p mem.PageID) {
 // silent rot unless cfg.DisableChecksums (pages without a digest — eternal
 // PMO pages — get the poison check only). On failure the page is repaired
 // in place from its replica when §8 replication is on; returns false when
-// the page cannot be proven intact.
+// the page cannot be proven intact. Both checks re-hash the bytes; they
+// never read the frame's memoized sum.
 func (m *Manager) verifySource(lane *simclock.Lane, p mem.PageID) bool {
 	bad := m.memory.CheckRead(p, 0, mem.PageSize) != nil
 	if !bad {

@@ -83,6 +83,10 @@ type Fleet struct {
 
 	srvThreads int
 
+	// perClient is nextSender's reused per-client tally: un-acked requests
+	// summed across each client's keys (the window is per client).
+	perClient []uint64
+
 	// OnAck, when set, observes every in-order acknowledgement (the
 	// scenario digests hang off this).
 	OnAck func(conn int, req uint64, recv simclock.Time)
@@ -120,7 +124,7 @@ func NewFleet(c *Cluster, cfg FleetConfig) (*Fleet, error) {
 	if c.cfg.Gated && cfg.ValueBytes > 200 {
 		return nil, fmt.Errorf("cluster: ValueBytes %d too large for a gated response slot", cfg.ValueBytes)
 	}
-	f := &Fleet{c: c, cfg: cfg, srvThreads: c.cfg.Cores}
+	f := &Fleet{c: c, cfg: cfg, srvThreads: c.cfg.Cores, perClient: make([]uint64, cfg.Clients)}
 	raw := workload.ClusterKeys(cfg.Seed, cfg.Clients*cfg.KeysPerClient)
 	for j, key := range raw {
 		owner := c.Ring.Owner(key)
@@ -237,25 +241,20 @@ func (f *Fleet) receipt(shard int, r net.Receipt) {
 	}
 }
 
-// clientOutstanding sums un-acked requests across a client's keys (the
-// window is per client, shared by its keys).
-func (f *Fleet) clientOutstanding(client int) uint64 {
-	var o uint64
-	for j := client * f.cfg.KeysPerClient; j < (client+1)*f.cfg.KeysPerClient; j++ {
-		o += f.keys[j].sent - f.keys[j].acked
-	}
-	return o
-}
-
 // nextSender picks the earliest-eligible key (budget left, client window
-// open), ties broken by global key index.
+// open), ties broken by global key index. Each client's outstanding count
+// is summed once per call, so the pick is O(keys).
 func (f *Fleet) nextSender() (*fkey, bool) {
+	clear(f.perClient)
+	for _, k := range f.keys {
+		f.perClient[k.client] += k.sent - k.acked
+	}
 	var best *fkey
 	for _, k := range f.keys {
 		if f.cfg.Requests > 0 && k.sent >= uint64(f.cfg.Requests) {
 			continue
 		}
-		if f.clientOutstanding(k.client) >= uint64(f.cfg.Window) {
+		if f.perClient[k.client] >= uint64(f.cfg.Window) {
 			continue
 		}
 		if best == nil || k.nextSendAt < best.nextSendAt {

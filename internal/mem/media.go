@@ -156,14 +156,15 @@ func (m *Memory) poisonLine(k lineKey, h uint64) {
 // identically — a later drop of the line must revert to the *damaged*
 // durable bytes, not resurrect clean ones.
 func (m *Memory) scrambleLine(k lineKey, h uint64) {
-	d := m.nvm.data(k.frame)
-	line := d[int(k.line)*LineSize : (int(k.line)+1)*LineSize]
+	fr := m.nvm.frame(k.frame)
+	fr.touch()
+	line := fr.data[int(k.line)*LineSize : (int(k.line)+1)*LineSize]
 	var sh []byte
 	if wl, ok := m.wb[k]; ok {
 		sh = wl.shadow[:]
 	}
 	for i := 0; i < LineSize/WordSize; i++ {
-		pat := splitmix64(h + uint64(i)) | 1
+		pat := splitmix64(h+uint64(i)) | 1
 		for b := 0; b < WordSize; b++ {
 			line[i*WordSize+b] ^= byte(pat >> (8 * uint(b)))
 			if sh != nil {
@@ -207,7 +208,7 @@ func (m *Memory) preWrite(p PageID, off, n int) {
 		return
 	}
 	first := (off + LineSize - 1) / LineSize // first line fully covered
-	last := (off + n) / LineSize            // one past the last fully covered
+	last := (off + n) / LineSize             // one past the last fully covered
 	for l := first; l < last; l++ {
 		k := lineKey{frame: p.Frame, line: uint16(l)}
 		if _, ok := m.poison[k]; ok {

@@ -73,25 +73,45 @@ func (p PageID) String() string {
 // lazily-materialized backing bytes.
 type Device struct {
 	kind   Kind
-	frames [][]byte
+	frames []*frame
+}
+
+// frame is one materialized 4 KiB frame. Beside the bytes it carries two
+// host-side fields that never influence simulated time: a write generation,
+// bumped by every primitive that mutates the bytes, and a memoized
+// FNV-1a-64 sum of the bytes, valid until the next mutation. The bytes are
+// a separate allocation so the header stays in a small size class.
+type frame struct {
+	data  *[PageSize]byte
+	gen   uint64
+	sum   uint64
+	sumOK bool
+}
+
+// touch records a mutation of the frame's bytes.
+func (fr *frame) touch() {
+	fr.gen++
+	fr.sumOK = false
 }
 
 func newDevice(kind Kind, nFrames int) *Device {
-	return &Device{kind: kind, frames: make([][]byte, nFrames)}
+	return &Device{kind: kind, frames: make([]*frame, nFrames)}
 }
 
 // NumFrames returns the device capacity in frames.
 func (d *Device) NumFrames() int { return len(d.frames) }
 
-// data returns the backing bytes of frame f, materializing them on demand.
-func (d *Device) data(f uint32) []byte {
+// frame returns frame f, materializing its bytes on demand.
+func (d *Device) frame(f uint32) *frame {
 	if int(f) >= len(d.frames) {
 		panic(fmt.Sprintf("mem: frame %d out of range on %s device (%d frames)", f, d.kind, len(d.frames)))
 	}
-	if d.frames[f] == nil {
-		d.frames[f] = make([]byte, PageSize)
+	fr := d.frames[f]
+	if fr == nil {
+		fr = &frame{data: new([PageSize]byte)}
+		d.frames[f] = fr
 	}
-	return d.frames[f]
+	return fr
 }
 
 // Memory bundles the two devices and the cost model. All page data access in
@@ -110,6 +130,7 @@ type Memory struct {
 	crashSeed uint64
 	crashes   uint64 // power failures so far (varies damage across crashes)
 	wb        map[lineKey]*wbLine
+	drain     []lineKey // lines flushed since the last fence (may repeat)
 
 	// Event-granular crash injection.
 	events         uint64
@@ -210,18 +231,25 @@ func (m *Memory) Model() *simclock.CostModel { return m.model }
 // exactly this range).
 func (m *Memory) NVMFrames() int { return m.nvm.NumFrames() }
 
-// Data returns the live backing bytes of page p. Callers must charge access
-// costs themselves (or use CopyPage / ReadAt / WriteAt which do).
-func (m *Memory) Data(p PageID) []byte {
+// frame returns the frame behind page p, materializing it on demand.
+func (m *Memory) frame(p PageID) *frame {
 	switch p.Kind {
 	case KindNVM:
-		return m.nvm.data(p.Frame)
+		return m.nvm.frame(p.Frame)
 	case KindDRAM:
-		return m.dram.data(p.Frame)
+		return m.dram.frame(p.Frame)
 	default:
-		panic("mem: Data on nil page")
+		panic("mem: access to nil page")
 	}
 }
+
+// Data returns the live backing bytes of page p. The slice is read-only:
+// every store must go through a Memory primitive (WriteAt, WriteRaw,
+// ZeroPage, PersistAtomic, CopyPage, InjectRot, ...) so that it is tracked
+// by the persistence model and bumps the frame's write generation. Callers
+// must charge access costs themselves (or use CopyPage / ReadAt / WriteAt
+// which do).
+func (m *Memory) Data(p PageID) []byte { return m.frame(p).data[:] }
 
 // AllocDRAM takes one DRAM frame from the free list. It returns the nil page
 // when DRAM is exhausted (callers fall back to keeping the page on NVM).
@@ -234,7 +262,9 @@ func (m *Memory) AllocDRAM() PageID {
 	m.dramFree = m.dramFree[:n-1]
 	// A freshly allocated frame must read as zero even if a previous
 	// owner left data in it.
-	clear(m.dram.data(f))
+	fr := m.dram.frame(f)
+	clear(fr.data[:])
+	fr.touch()
 	return PageID{Kind: KindDRAM, Frame: f}
 }
 
@@ -254,7 +284,10 @@ func (m *Memory) DRAMFreeFrames() int { return len(m.dramFree) }
 func (m *Memory) CopyPage(dst, src PageID) simclock.Duration {
 	m.preWrite(dst, 0, PageSize)
 	m.track(dst, 0, PageSize)
-	copy(m.Data(dst), m.Data(src))
+	sf, df := m.frame(src), m.frame(dst)
+	*df.data = *sf.data
+	df.gen++
+	df.sum, df.sumOK = sf.sum, sf.sumOK // same bytes, same sum
 	if dst.Kind == KindNVM {
 		m.crashEvent()
 	}
@@ -264,13 +297,14 @@ func (m *Memory) CopyPage(dst, src PageID) simclock.Duration {
 // WriteAt writes data into page p at offset off and returns the simulated
 // cost. Partial-page writes are charged per touched cacheline.
 func (m *Memory) WriteAt(p PageID, off int, data []byte) simclock.Duration {
-	d := m.Data(p)
+	fr := m.frame(p)
 	if off < 0 || off+len(data) > PageSize {
 		panic(fmt.Sprintf("mem: WriteAt out of page bounds: off=%d len=%d", off, len(data)))
 	}
 	m.preWrite(p, off, len(data))
 	m.track(p, off, len(data))
-	copy(d[off:], data)
+	copy(fr.data[off:], data)
+	fr.touch()
 	if p.Kind == KindNVM {
 		m.crashEvent()
 	}
@@ -347,11 +381,11 @@ func (m *Memory) Crash() {
 		m.crashes++ // vary media damage across crashes under eADR too
 	}
 	m.injectCrashFaults()
-	for f, b := range m.dram.frames {
-		if b != nil {
-			clear(b)
+	for _, fr := range m.dram.frames {
+		if fr != nil {
+			clear(fr.data[:])
+			fr.touch()
 		}
-		_ = f
 	}
 	m.resetDRAMFreeList()
 }

@@ -122,8 +122,9 @@ type wbLine struct {
 // Mode returns the configured persistence model.
 func (m *Memory) Mode() PersistMode { return m.mode }
 
-// UnflushedLines reports how many NVM lines are currently at risk (dirty
-// in the write buffer, fenced ones excluded). Always 0 under eADR.
+// UnflushedLines reports how many NVM lines are currently at risk: every
+// line still in the write buffer, dirty or flushed-but-unfenced (a flush
+// alone makes nothing durable). Always 0 under eADR.
 func (m *Memory) UnflushedLines() int { return len(m.wb) }
 
 // track records that bytes [off, off+n) of page p are being overwritten,
@@ -133,7 +134,7 @@ func (m *Memory) track(p PageID, off, n int) {
 	if m.mode != ModeADR || p.Kind != KindNVM || n <= 0 {
 		return
 	}
-	d := m.nvm.data(p.Frame)
+	d := m.nvm.frame(p.Frame).data
 	for l := off / LineSize; l <= (off+n-1)/LineSize; l++ {
 		k := lineKey{frame: p.Frame, line: uint16(l)}
 		if wl, ok := m.wb[k]; ok {
@@ -196,8 +197,10 @@ func (m *Memory) Flush(p PageID, off, n int) simclock.Duration {
 	}
 	lines := simclock.Duration(0)
 	for l := off / LineSize; l <= (off+n-1)/LineSize; l++ {
-		if wl, ok := m.wb[lineKey{frame: p.Frame, line: uint16(l)}]; ok && !wl.flushed {
+		k := lineKey{frame: p.Frame, line: uint16(l)}
+		if wl, ok := m.wb[k]; ok && !wl.flushed {
 			wl.flushed = true
+			m.drain = append(m.drain, k)
 			lines++
 		}
 	}
@@ -215,7 +218,10 @@ func (m *Memory) Flush(p PageID, off, n int) simclock.Duration {
 func (m *Memory) FlushPage(p PageID) simclock.Duration { return m.Flush(p, 0, PageSize) }
 
 // Fence drains all flushed lines to durability (sfence) and returns the
-// simulated cost. Free no-op under eADR.
+// simulated cost. Free no-op under eADR. Only the lines Flush queued since
+// the last fence are visited, so the host cost is O(lines flushed), not
+// O(write buffer); a queued line re-dirtied after its flush is no longer
+// flushed and stays in the buffer, and a line queued twice is retired once.
 func (m *Memory) Fence() simclock.Duration {
 	if m.mode != ModeADR {
 		return 0
@@ -224,11 +230,12 @@ func (m *Memory) Fence() simclock.Duration {
 	// The crash event fires before the drain: a power failure at the
 	// fence persists nothing that the fence was about to retire.
 	m.crashEvent()
-	for k, wl := range m.wb {
-		if wl.flushed {
+	for _, k := range m.drain {
+		if wl, ok := m.wb[k]; ok && wl.flushed {
 			delete(m.wb, k)
 		}
 	}
+	m.drain = m.drain[:0]
 	return m.model.SFence
 }
 
@@ -241,9 +248,11 @@ func (m *Memory) WriteRaw(p PageID, off int, data []byte) {
 	if off < 0 || off+len(data) > PageSize {
 		panic(fmt.Sprintf("mem: WriteRaw out of page bounds: off=%d len=%d", off, len(data)))
 	}
+	fr := m.frame(p)
 	m.preWrite(p, off, len(data))
 	m.track(p, off, len(data))
-	copy(m.Data(p)[off:], data)
+	copy(fr.data[off:], data)
+	fr.touch()
 	if p.Kind == KindNVM {
 		m.crashEvent()
 	}
@@ -262,9 +271,11 @@ func (m *Memory) ReadRaw(p PageID, off int, buf []byte) {
 // bare clear(Data(p)) idiom so first-touch page materialization
 // participates in the persistence model.
 func (m *Memory) ZeroPage(p PageID) {
+	fr := m.frame(p)
 	m.preWrite(p, 0, PageSize)
 	m.track(p, 0, PageSize)
-	clear(m.Data(p))
+	clear(fr.data[:])
+	fr.touch()
 	if p.Kind == KindNVM {
 		m.crashEvent()
 	}
@@ -283,8 +294,10 @@ func (m *Memory) PersistAtomic(p PageID, off int, data []byte) simclock.Duration
 		panic(fmt.Sprintf("mem: PersistAtomic out of page bounds: off=%d len=%d", off, len(data)))
 	}
 	m.preWrite(p, off, len(data))
-	d := m.Data(p)
+	fr := m.frame(p)
+	d := fr.data[:]
 	copy(d[off:], data)
+	fr.touch()
 	if m.mode != ModeADR || p.Kind != KindNVM {
 		return 0
 	}
@@ -324,8 +337,8 @@ func splitmix64(x uint64) uint64 {
 func (m *Memory) applyCrashDamage() {
 	for k, wl := range m.wb {
 		m.Stats.CrashLinesAtRisk++
-		d := m.nvm.data(k.frame)
-		line := d[int(k.line)*LineSize : (int(k.line)+1)*LineSize]
+		fr := m.nvm.frame(k.frame)
+		line := fr.data[int(k.line)*LineSize : (int(k.line)+1)*LineSize]
 		h := splitmix64(m.crashSeed ^ splitmix64(uint64(m.crashes)<<48|uint64(k.frame)<<16|uint64(k.line)))
 		switch {
 		case h%100 < 25:
@@ -333,6 +346,7 @@ func (m *Memory) applyCrashDamage() {
 		case h%100 < 70:
 			// Dropped: the cache line never reached the DIMM.
 			copy(line, wl.shadow[:])
+			fr.touch()
 			m.Stats.CrashLinesDropped++
 		default:
 			// Torn: each aligned 8-byte word independently made it
@@ -343,9 +357,11 @@ func (m *Memory) applyCrashDamage() {
 					copy(line[i*WordSize:(i+1)*WordSize], wl.shadow[i*WordSize:(i+1)*WordSize])
 				}
 			}
+			fr.touch()
 			m.Stats.CrashLinesTorn++
 		}
 	}
 	clear(m.wb)
+	m.drain = m.drain[:0]
 	m.crashes++
 }

@@ -254,3 +254,94 @@ func TestEADRPrimitivesAreFree(t *testing.T) {
 		t.Fatalf("eADR counted flushes/fences: %+v", m.Stats)
 	}
 }
+
+// TestFenceRetiresOnlyFlushedLines: a fence drains exactly the lines
+// flushed since the previous fence; dirty unflushed lines stay at risk no
+// matter how large the write buffer is.
+func TestFenceRetiresOnlyFlushedLines(t *testing.T) {
+	m := newADRMemory(1)
+	big := PageID{Kind: KindNVM, Frame: 6}
+	small := PageID{Kind: KindNVM, Frame: 7}
+	m.WriteAt(big, 0, bytes.Repeat([]byte{1}, PageSize)) // 64 lines
+	m.WriteAt(small, 0, bytes.Repeat([]byte{2}, 2*LineSize))
+	m.Flush(small, 0, 2*LineSize)
+	if n := m.UnflushedLines(); n != 66 {
+		t.Fatalf("UnflushedLines = %d before the fence, want 66 (flushed-but-unfenced lines count)", n)
+	}
+	m.Fence()
+	if n := m.UnflushedLines(); n != 64 {
+		t.Fatalf("UnflushedLines = %d after the fence, want 64", n)
+	}
+	for l := 0; l < 2; l++ {
+		if _, ok := m.wb[lineKey{frame: small.Frame, line: uint16(l)}]; ok {
+			t.Errorf("flushed line %d of %v still buffered", l, small)
+		}
+	}
+	if len(m.drain) != 0 {
+		t.Errorf("drain list holds %d lines after the fence", len(m.drain))
+	}
+}
+
+// TestRedirtiedLineStaysAtRisk: a line flushed and then written again is
+// volatile once more, so the fence must not retire it even though Flush
+// queued it for draining.
+func TestRedirtiedLineStaysAtRisk(t *testing.T) {
+	m := newADRMemory(1)
+	p := PageID{Kind: KindNVM, Frame: 8}
+	m.WriteAt(p, 0, []byte("first"))
+	m.Flush(p, 0, 5)
+	m.WriteAt(p, 0, []byte("again"))
+	m.Fence()
+	if n := m.UnflushedLines(); n != 1 {
+		t.Fatalf("UnflushedLines = %d, want the re-dirtied line still at risk", n)
+	}
+	if wl := m.wb[lineKey{frame: p.Frame}]; wl == nil || wl.flushed {
+		t.Fatalf("re-dirtied line: %+v, want buffered and unflushed", wl)
+	}
+}
+
+// TestDuplicateDrainEntriesHarmless: a line flushed, re-dirtied and flushed
+// again is queued twice; one fence retires it once and the next fence finds
+// nothing to do.
+func TestDuplicateDrainEntriesHarmless(t *testing.T) {
+	m := newADRMemory(1)
+	p := PageID{Kind: KindNVM, Frame: 9}
+	m.WriteAt(p, 0, []byte("one"))
+	m.Flush(p, 0, 3)
+	m.WriteAt(p, 0, []byte("two"))
+	m.Flush(p, 0, 3)
+	if len(m.drain) != 2 {
+		t.Fatalf("drain list = %d entries, want the line queued twice", len(m.drain))
+	}
+	m.Fence()
+	if n := m.UnflushedLines(); n != 0 {
+		t.Fatalf("UnflushedLines = %d after the fence", n)
+	}
+	m.Fence()
+	m.Crash()
+	if m.Stats.CrashLinesAtRisk != 0 {
+		t.Fatalf("fenced line at risk at the crash: %+v", m.Stats)
+	}
+	buf := make([]byte, 3)
+	m.ReadAt(p, 0, buf)
+	if string(buf) != "two" {
+		t.Fatalf("fenced line lost its last store: %q", buf)
+	}
+}
+
+// TestCrashClearsDrainList: lines queued by a flush but never fenced are
+// resolved by the crash like any other buffered line, and the drain list
+// does not leak into the next epoch.
+func TestCrashClearsDrainList(t *testing.T) {
+	m := newADRMemory(4)
+	p := PageID{Kind: KindNVM, Frame: 10}
+	m.WriteAt(p, 0, bytes.Repeat([]byte{3}, PageSize))
+	m.FlushPage(p)
+	m.Crash()
+	if len(m.drain) != 0 || m.UnflushedLines() != 0 {
+		t.Fatalf("after the crash: drain %d, buffered %d", len(m.drain), m.UnflushedLines())
+	}
+	if m.Stats.CrashLinesAtRisk != PageSize/LineSize {
+		t.Fatalf("CrashLinesAtRisk = %d, want every flushed-but-unfenced line", m.Stats.CrashLinesAtRisk)
+	}
+}

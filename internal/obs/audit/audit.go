@@ -437,6 +437,13 @@ func (a *Auditor) Check(tree *caps.Tree, where string) Result {
 		bad("%s: allocator: %v", where, err)
 	}
 
+	// Invariant 7: every memoized frame sum equals a fresh hash of the
+	// frame's bytes — no store bypassed mem's generation bump, so the
+	// checkpoint digests established from the memo are true.
+	for _, p := range a.Mem.StaleSums() {
+		bad("%s: frame %v: memoized sum disagrees with its bytes", where, p)
+	}
+
 	res.BackupDigest = BackupDigest(m, a.Mem)
 	if tree != nil {
 		res.RuntimeDigest = StateDigest(tree, a.Mem)

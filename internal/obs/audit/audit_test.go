@@ -333,6 +333,32 @@ func TestAuditorCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestAuditorCatchesStaleMemo: a store that bypasses mem's primitives
+// leaves a memoized frame sum that no longer matches the bytes; the
+// auditor must name that frame.
+func TestAuditorCatchesStaleMemo(t *testing.T) {
+	m := newMachine(diffMatrix[0], 17, nil)
+	driveWorkload(t, m, 17, 60)
+	if !m.LastAudit.Ok() {
+		t.Fatalf("clean machine already had violations: %v", m.LastAudit.Violations)
+	}
+	victim := mem.PageID{Kind: mem.KindNVM, Frame: 100}
+	m.Memory.WriteRaw(victim, 0, []byte("memoized"))
+	m.Memory.Sum(victim)
+	m.Memory.Data(victim)[0] ^= 0xFF // deliberate read-only contract violation
+
+	res := m.Auditor.Check(m.Tree, "stale-memo-test")
+	found := false
+	for _, v := range res.Violations {
+		if containsAll(v, victim.String(), "memoized sum") {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("auditor missed a stale memoized sum on %v; violations: %v", victim, res.Violations)
+	}
+}
+
 func containsAll(s string, subs ...string) bool {
 	for _, sub := range subs {
 		if !bytes.Contains([]byte(s), []byte(sub)) {

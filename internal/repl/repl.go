@@ -220,7 +220,7 @@ func (r *Replicator) Ledger() []LedgerEntry { return r.ledger }
 // records the covered ring prefix).
 func (r *Replicator) OnCheckpoint(version uint64, lane *simclock.Lane) {
 	model := r.primary.Model
-	img := r.primary.Ckpt.CaptureReplImage(r.primary.SwapReadSlot)
+	img := r.primary.Ckpt.CaptureReplImage(r.primary.SwapReadSlot, r.lastImage)
 	full := r.lastImage == nil ||
 		(r.cfg.FullSyncEvery > 0 && version%r.cfg.FullSyncEvery == 0)
 	prev := r.lastImage

@@ -124,8 +124,8 @@ func TestDeterministicFailover(t *testing.T) {
 				// standby's own replication capture must reproduce the
 				// primary's entry-for-entry (including swap content,
 				// which the digest only marks).
-				pi := w.m.Ckpt.CaptureReplImage(w.m.SwapReadSlot)
-				si := fo.Machine.Ckpt.CaptureReplImage(fo.Machine.SwapReadSlot)
+				pi := w.m.Ckpt.CaptureReplImage(w.m.SwapReadSlot, nil)
+				si := fo.Machine.Ckpt.CaptureReplImage(fo.Machine.SwapReadSlot, nil)
 				if !reflect.DeepEqual(pi.Entries, si.Entries) {
 					t.Fatalf("standby capture differs from primary capture (%d vs %d entries)",
 						len(pi.Entries), len(si.Entries))
@@ -209,7 +209,7 @@ func TestReplDeltaProperty(t *testing.T) {
 				for i := base; i < len(led); i++ {
 					img = checkpoint.FoldDelta(img, led[i].Delta)
 				}
-				cur := w.m.Ckpt.CaptureReplImage(w.m.SwapReadSlot)
+				cur := w.m.Ckpt.CaptureReplImage(w.m.SwapReadSlot, nil)
 				if img.Version != cur.Version || img.RootID != cur.RootID || img.NextID != cur.NextID {
 					t.Fatalf("round %d: folded header (v%d root %d next %d) != capture (v%d root %d next %d)",
 						r, img.Version, img.RootID, img.NextID, cur.Version, cur.RootID, cur.NextID)
@@ -248,7 +248,7 @@ func TestFailoverWithSwappedPages(t *testing.T) {
 	}
 	w.round(t, rng, 3)
 	w.settleAcks()
-	cur := w.m.Ckpt.CaptureReplImage(w.m.SwapReadSlot)
+	cur := w.m.Ckpt.CaptureReplImage(w.m.SwapReadSlot, nil)
 	swaps := 0
 	for k, data := range cur.Entries {
 		if k.Kind == checkpoint.ReplSwap {
@@ -268,7 +268,7 @@ func TestFailoverWithSwappedPages(t *testing.T) {
 	if fo.Digest != fo.ExpectedDigest {
 		t.Fatalf("digest %#x != acknowledged %#x", fo.Digest, fo.ExpectedDigest)
 	}
-	si := fo.Machine.Ckpt.CaptureReplImage(fo.Machine.SwapReadSlot)
+	si := fo.Machine.Ckpt.CaptureReplImage(fo.Machine.SwapReadSlot, nil)
 	if !reflect.DeepEqual(cur.Entries, si.Entries) {
 		t.Fatalf("standby swap/page content differs from primary")
 	}
