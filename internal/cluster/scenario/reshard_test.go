@@ -103,6 +103,7 @@ func TestReshardClean(t *testing.T) {
 				t.Errorf("ended on ring v%d, want v%d", r.RingVersion, finalV)
 			}
 			assertConverged(t, sc, r, "clean")
+			checkScenarioGolden(t, "reshard/"+sc.Name, r)
 		})
 	}
 }

@@ -98,6 +98,7 @@ func TestScenarioTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSafe(t, sc, r)
+			checkScenarioGolden(t, sc.Name, r)
 		})
 	}
 }

@@ -82,6 +82,7 @@ func TestScenarioTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSafe(t, sc, r)
+			checkScenarioGolden(t, sc.Name, r)
 		})
 	}
 }
