@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"treesls/internal/extsync"
 	"treesls/internal/mem"
 	"treesls/internal/obs/audit"
 )
@@ -91,6 +93,28 @@ func TestClusterTraffic(t *testing.T) {
 	if c.Stats.Rounds == 0 {
 		t.Fatal("no cluster rounds ran during a gated workload")
 	}
+}
+
+// TestGatedValueAtSlotCapacity: a value of exactly extsync.MaxPayload bytes
+// fits the echoed gated response, so every request acknowledges through
+// the shard rings; one byte more is refused up front.
+func TestGatedValueAtSlotCapacity(t *testing.T) {
+	c := newTestCluster(t, Config{Shards: 2, Gated: true, Audit: true, Seed: 3})
+	if _, err := NewFleet(c, FleetConfig{ValueBytes: extsync.MaxPayload + 1}); err == nil {
+		t.Fatalf("NewFleet accepted a %d-byte gated value", extsync.MaxPayload+1)
+	}
+	f := newTestFleet(t, c, FleetConfig{Clients: 2, KeysPerClient: 2, Requests: 4, ValueBytes: extsync.MaxPayload, Seed: 3})
+	if err := f.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var released uint64
+	for _, s := range c.Shards {
+		released += s.Drv.Stats.Delivered
+	}
+	if want := uint64(2 * 2 * 4); f.TotalAcked() != want || released != want {
+		t.Fatalf("acked %d, released %d, want %d each", f.TotalAcked(), released, want)
+	}
+	checkClean(t, f, "after run")
 }
 
 // TestClusterPowerFailMidTraffic: a whole-cluster power failure between
@@ -381,4 +405,41 @@ func TestClusterEventsMonotone(t *testing.T) {
 	if last == 0 {
 		t.Fatal("no events counted")
 	}
+}
+
+// TestFleetFailTargets drives traffic with Advance and injects every
+// failure kind through Fleet.Fail mid-run: each recovery leaves no
+// unjustified acknowledgement, names its victims, and the fleet then runs
+// to completion.
+func TestFleetFailTargets(t *testing.T) {
+	c := newTestCluster(t, Config{Shards: 3, Gated: true, Audit: true, Seed: 5})
+	f := newTestFleet(t, c, FleetConfig{Clients: 2, KeysPerClient: 3, Requests: 6, Seed: 5})
+	for _, tc := range []struct {
+		target  int
+		victims []int
+	}{
+		{TargetCoord, nil},
+		{1, []int{1}},
+		{TargetPower, []int{0, 1, 2}},
+	} {
+		for i := 0; i < 40; i++ {
+			if _, err := f.Advance(); err != nil {
+				t.Fatalf("Advance: %v", err)
+			}
+		}
+		if got := c.Victims(tc.target); fmt.Sprint(got) != fmt.Sprint(tc.victims) {
+			t.Errorf("Victims(%s) = %v, want %v", TargetName(tc.target), got, tc.victims)
+		}
+		if err := f.Fail(tc.target); err != nil {
+			t.Fatalf("Fail(%s): %v", TargetName(tc.target), err)
+		}
+		checkClean(t, f, "after "+TargetName(tc.target))
+	}
+	if err := f.Run(); err != nil {
+		t.Fatalf("Run after failures: %v", err)
+	}
+	if want := uint64(2 * 3 * 6); f.TotalAcked() != want {
+		t.Fatalf("TotalAcked = %d, want %d", f.TotalAcked(), want)
+	}
+	checkClean(t, f, "after run")
 }

@@ -1,15 +1,18 @@
 package cluster
 
 // The multi-shard client fleet: closed-loop clients whose keys spread over
-// the whole keyspace, routed to their owning shards through the ring. It
-// mirrors internal/net's single-machine fleet — same window pipelining,
-// same counter-value oracle, same FIFO/justification checks — but every
-// request and response additionally pays the router encapsulation
-// (net.RouteHeaderBytes), receipts arrive per shard, and a resync after a
-// failure rewinds only the keys the recovered shard owns.
+// the whole keyspace, routed to their owning shards through the ring. The
+// client side — window pipelining, the counter-value oracle, FIFO and
+// justification checks — is internal/net's ClientCore, shared with the
+// single-machine fleet. This file adds the routing: every request and
+// response pays the router encapsulation (net.RouteHeaderBytes), receipts
+// arrive per shard, stragglers queued at a previous owner are forwarded,
+// and a resync after a failure rewinds only the keys the recovered shard
+// owns. Fleet.Advance is the one micro-step scheduler over traffic,
+// rounds and migration, and Fleet.Fail the one fail-and-resync entry
+// point.
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"treesls/internal/net"
@@ -26,11 +29,12 @@ type FleetConfig struct {
 	// usually touches several shards.
 	KeysPerClient int
 	// Requests is the per-key request budget; 0 means unbounded (a
-	// harness drives Step itself).
+	// harness drives Advance itself).
 	Requests int
 	// Window is the per-client pipeline depth across its keys (default 4).
 	Window int
-	// ValueBytes is the SET value size (>= 8; default 64).
+	// ValueBytes is the SET value size (>= 8; default 64; at most
+	// extsync.MaxPayload when gated).
 	ValueBytes int
 	// Seed seeds the keyspace draw (key→shard spread).
 	Seed int64
@@ -39,13 +43,9 @@ type FleetConfig struct {
 	Think simclock.Duration
 }
 
-// fkey is one client key: its own request counter stream, identified
-// cluster-wide by its global index (which doubles as the wire conn id).
-type fkey struct {
-	idx    int // global key index == conn id
-	client int
-	shard  int // the ring owner (the fleet's routing view; reroutes on flip)
-	key    []byte
+// keyRoute is the fleet's routing view of one key (index == wire conn id).
+type keyRoute struct {
+	shard int // the ring owner (reroutes on flip)
 
 	// sentShard is where the newest in-flight request was physically sent
 	// (its NIC queue). It lags shard across a ring flip: frames queued at
@@ -53,89 +53,100 @@ type fkey struct {
 	// first they die with it — ResyncShard matches either field so those
 	// keys rewind too.
 	sentShard int
-
-	sent       uint64 // highest request index put on the wire
-	acked      uint64 // highest contiguously acknowledged request index
-	nextSendAt simclock.Time
 }
 
 // StepStatus reports what one fleet micro-step did.
 type StepStatus int
 
 const (
-	// StepProgress: a frame was dispatched or a request sent.
+	// StepProgress: a frame was dispatched, a request sent, or a round or
+	// migration action taken.
 	StepProgress StepStatus = iota
 	// StepBlocked: every client is window-blocked behind gated responses
-	// parked in shard rings — the harness must run a cluster round (the
-	// cut is the only thing that releases them).
+	// parked in shard rings — only a cluster round (the cut) releases
+	// them.
 	StepBlocked
 	// StepDone: every key reached its request budget.
 	StepDone
 )
 
-// Fleet drives the cluster's client load. All scheduling is deterministic:
-// Step executes exactly one micro-step chosen by simulated-time priority
-// across all shards.
+// Crash targets for Fleet.Fail. Non-negative values name a shard index.
+const (
+	// TargetPower fails every shard at once (whole-cluster power loss).
+	TargetPower = -1
+	// TargetCoord kills the coordinator process (durable cut log
+	// survives, forming state is lost).
+	TargetCoord = -2
+)
+
+// TargetName names a crash target for logs.
+func TargetName(target int) string {
+	switch target {
+	case TargetPower:
+		return "power"
+	case TargetCoord:
+		return "coord"
+	default:
+		return fmt.Sprintf("shard%d", target)
+	}
+}
+
+// Victims lists the shards a failure of target crash-restores: every shard
+// for TargetPower, none for TargetCoord, else the one shard.
+func (c *Cluster) Victims(target int) []int {
+	switch target {
+	case TargetPower:
+		v := make([]int, len(c.Shards))
+		for i := range v {
+			v[i] = i
+		}
+		return v
+	case TargetCoord:
+		return nil
+	default:
+		return []int{target}
+	}
+}
+
+// Fleet drives the cluster's client load: the shared client core plus ring
+// routing. All scheduling is deterministic: Step executes exactly one
+// micro-step chosen by simulated-time priority across all shards.
 type Fleet struct {
-	c    *Cluster
-	cfg  FleetConfig
-	keys []*fkey
+	net.ClientCore
+	c     *Cluster
+	cfg   FleetConfig
+	route []keyRoute
 
 	srvThreads int
 
-	// perClient is nextSender's reused per-client tally: un-acked requests
-	// summed across each client's keys (the window is per client).
-	perClient []uint64
-
-	// OnAck, when set, observes every in-order acknowledgement (the
-	// scenario digests hang off this).
-	OnAck func(conn int, req uint64, recv simclock.Time)
-	// OnSend, when set, observes every request put on the wire (including
-	// retransmits) — the linearizability recorder's invocation feed.
-	OnSend func(conn int, req uint64, at simclock.Time)
-
-	// Latencies collects client-observed latency per acknowledgement.
-	Latencies []simclock.Duration
-	// Violations records per-key FIFO violations and receipts that
-	// arrived on the wrong shard. Must stay empty.
-	Violations []string
-	// Retransmits counts requests re-sent after a shard failure dropped
-	// their frame or their un-released response.
-	Retransmits uint64
-	// DupAcks counts responses for already-acknowledged requests.
-	DupAcks uint64
+	// migTurn alternates Advance between migration and traffic while an
+	// epoch is in flight.
+	migTurn bool
 }
 
 // NewFleet builds the fleet: Clients*KeysPerClient seeded keys, each routed
 // to its ring owner, with every shard's receipt hook wired back here.
 func NewFleet(c *Cluster, cfg FleetConfig) (*Fleet, error) {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 4
-	}
 	if cfg.KeysPerClient <= 0 {
 		cfg.KeysPerClient = 4
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 4
+	core, err := net.FleetConfig{
+		Clients: cfg.Clients, Requests: cfg.Requests, Window: cfg.Window,
+		ValueBytes: cfg.ValueBytes, Think: cfg.Think,
+	}.Defaulted(c.cfg.Gated)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.ValueBytes < 8 {
-		cfg.ValueBytes = 64
-	}
-	if c.cfg.Gated && cfg.ValueBytes > 200 {
-		return nil, fmt.Errorf("cluster: ValueBytes %d too large for a gated response slot", cfg.ValueBytes)
-	}
-	f := &Fleet{c: c, cfg: cfg, srvThreads: c.cfg.Cores, perClient: make([]uint64, cfg.Clients)}
-	raw := workload.ClusterKeys(cfg.Seed, cfg.Clients*cfg.KeysPerClient)
-	for j, key := range raw {
+	cfg.Clients, cfg.Window, cfg.ValueBytes = core.Clients, core.Window, core.ValueBytes
+	f := &Fleet{c: c, cfg: cfg, srvThreads: c.cfg.Cores}
+	keys := workload.ClusterKeys(cfg.Seed, cfg.Clients*cfg.KeysPerClient)
+	for _, key := range keys {
 		owner := c.Ring.Owner(key)
-		f.keys = append(f.keys, &fkey{
-			idx:       j,
-			client:    j / cfg.KeysPerClient,
-			shard:     owner,
-			sentShard: owner,
-			key:       key,
-		})
+		f.route = append(f.route, keyRoute{shard: owner, sentShard: owner})
 	}
+	f.ClientCore = net.NewClientCore(core, keys, func(j int) string {
+		return fmt.Sprintf("key %d (shard %d)", j, f.route[j].shard)
+	}, f.PeekCounter)
 	f.attachReceipts()
 	f.applyAffinity()
 	c.SetOnRingChange(f.Reroute)
@@ -157,8 +168,8 @@ func (f *Fleet) attachReceipts() {
 // previous owner are not lost: its dispatcher forwards them to the new
 // owner over the migration mesh.
 func (f *Fleet) Reroute() {
-	for _, k := range f.keys {
-		k.shard = f.c.Ring.Owner(k.key)
+	for j := range f.route {
+		f.route[j].shard = f.c.Ring.Owner(f.Key(j))
 	}
 	f.attachReceipts()
 	f.applyAffinity()
@@ -168,100 +179,29 @@ func (f *Fleet) Reroute() {
 // cores (idempotent; re-applied after restore).
 func (f *Fleet) applyAffinity() {
 	for _, s := range f.c.Shards {
-		p := s.M.Process(s.Srv.Name())
-		if p == nil {
-			continue
-		}
-		for i, th := range p.Threads {
-			th.Sched.Affinity = i % len(s.M.Cores)
-		}
+		net.PinWorkers(s.M, s.Srv.Name())
 	}
 }
 
 // Config returns the fleet's (defaulted) configuration.
 func (f *Fleet) Config() FleetConfig { return f.cfg }
 
-// Keys returns how many keys the fleet drives.
-func (f *Fleet) Keys() int { return len(f.keys) }
-
 // ShardOf returns the owning shard of key j.
-func (f *Fleet) ShardOf(j int) int { return f.keys[j].shard }
+func (f *Fleet) ShardOf(j int) int { return f.route[j].shard }
 
-// Acked returns key j's highest contiguously acknowledged request index.
-func (f *Fleet) Acked(j int) uint64 { return f.keys[j].acked }
-
-// TotalAcked sums acknowledged requests across all keys.
-func (f *Fleet) TotalAcked() uint64 {
-	var t uint64
-	for _, k := range f.keys {
-		t += k.acked
-	}
-	return t
-}
-
-// valueFor builds request req's value on key conn: the 8-byte big-endian
-// request index padded with a key-seasoned pattern (same scheme as the
-// single-machine fleet, so net.CounterValue parses it).
-func (f *Fleet) valueFor(conn int, req uint64) []byte {
-	v := make([]byte, f.cfg.ValueBytes)
-	binary.BigEndian.PutUint64(v, req)
-	for i := 8; i < len(v); i++ {
-		v[i] = byte(conn + i)
-	}
-	return v
-}
-
-// receipt is a shard network's delivery hook.
+// receipt is a shard network's delivery hook: a response must come from
+// the key's ring owner before the client core accounts it.
 func (f *Fleet) receipt(shard int, r net.Receipt) {
-	if r.Conn < 0 || r.Conn >= len(f.keys) {
+	if r.Conn < 0 || r.Conn >= f.Keys() {
 		f.Violations = append(f.Violations, fmt.Sprintf("shard %d: receipt for unknown conn %d", shard, r.Conn))
 		return
 	}
-	k := f.keys[r.Conn]
-	if k.shard != shard {
+	if owner := f.route[r.Conn].shard; owner != shard {
 		f.Violations = append(f.Violations,
-			fmt.Sprintf("key %d: response from shard %d but the ring owner is %d", r.Conn, shard, k.shard))
+			fmt.Sprintf("key %d: response from shard %d but the ring owner is %d", r.Conn, shard, owner))
 		return
 	}
-	switch {
-	case r.Req == k.acked+1:
-		k.acked++
-		f.Latencies = append(f.Latencies, r.Receive.Sub(r.Submit))
-		if t := r.Receive.Add(f.cfg.Think); t > k.nextSendAt {
-			k.nextSendAt = t
-		}
-		if f.OnAck != nil {
-			f.OnAck(r.Conn, r.Req, r.Receive)
-		}
-	case r.Req <= k.acked:
-		f.DupAcks++
-	default:
-		f.Violations = append(f.Violations,
-			fmt.Sprintf("key %d: response for request %d arrived with only %d acknowledged", r.Conn, r.Req, k.acked))
-	}
-}
-
-// nextSender picks the earliest-eligible key (budget left, client window
-// open), ties broken by global key index. Each client's outstanding count
-// is summed once per call, so the pick is O(keys).
-func (f *Fleet) nextSender() (*fkey, bool) {
-	clear(f.perClient)
-	for _, k := range f.keys {
-		f.perClient[k.client] += k.sent - k.acked
-	}
-	var best *fkey
-	for _, k := range f.keys {
-		if f.cfg.Requests > 0 && k.sent >= uint64(f.cfg.Requests) {
-			continue
-		}
-		if f.perClient[k.client] >= uint64(f.cfg.Window) {
-			continue
-		}
-		if best == nil || k.nextSendAt < best.nextSendAt {
-			best = k
-		}
-	}
-	return best, best != nil
+	f.Receive(r)
 }
 
 // nextArrival locates the earliest queued frame across every shard's NIC
@@ -277,48 +217,35 @@ func (f *Fleet) nextArrival() (int, simclock.Time, bool) {
 }
 
 // dispatch runs the server side of one frame on its shard: the kvstore SET
-// on the key's worker thread, then the response through the shard's gate
-// (or straight out when ungated). The router header is charged both ways.
+// on the key's worker thread, then the response through the serving
+// shard's gate (or straight out when ungated). The router header is
+// charged both ways.
 func (f *Fleet) dispatch(shard int) func(p net.Packet, ready simclock.Time) error {
-	s := f.c.Shards[shard]
 	return func(p net.Packet, ready simclock.Time) error {
-		k := f.keys[p.Conn]
-		tid := p.Conn % f.srvThreads
-		val := f.valueFor(p.Conn, p.Req)
-		if owner := f.c.Ring.Owner(k.key); owner != shard {
+		key, val := f.Key(p.Conn), f.Value(p.Conn, p.Req)
+		serve, arrive := shard, ready
+		if owner := f.c.Ring.Owner(key); owner != shard {
 			// A straggler: the frame was queued here before the ring
 			// flipped this key away. Relay it to the current owner over
 			// the migration mesh and serve it there — the response then
-			// rides the owner's network, matching the rerouted k.shard.
-			arrive := f.c.ForwardRequest(shard, owner,
-				len(k.key)+f.cfg.ValueBytes+net.RouteHeaderBytes, ready)
-			o := f.c.Shards[owner]
-			res, seq, err := o.Srv.SetAt(arrive, tid, k.key, val)
-			if err != nil {
-				return err
-			}
-			if o.Net.Gated() {
-				o.Net.TrackResponse(seq, p.Conn, p.Req, p.Submit, res.End)
-			} else {
-				o.Net.CompleteDirect(p.Conn, p.Req, p.Submit, len(val)+net.RouteHeaderBytes, res.Core)
-			}
-			return nil
+			// rides the owner's network, matching the rerouted shard.
+			serve = owner
+			arrive = f.c.ForwardRequest(shard, owner, f.WireBytes(p.Conn)+net.RouteHeaderBytes, ready)
 		}
-		res, seq, err := s.Srv.SetAt(ready, tid, k.key, val)
+		s := f.c.Shards[serve]
+		res, seq, err := s.Srv.SetAt(arrive, p.Conn%f.srvThreads, key, val)
 		if err != nil {
 			return err
 		}
-		// An in-flight migration dual-writes this value to the key's
-		// destination (no-op outside an epoch or for unmoved keys), so the
-		// install never goes stale behind answered traffic.
-		if _, err := f.c.DualWrite(k.key, val, res.End); err != nil {
-			return err
+		if serve == shard {
+			// An in-flight migration dual-writes this value to the key's
+			// destination (no-op outside an epoch or for unmoved keys),
+			// so the install never goes stale behind answered traffic.
+			if _, err := f.c.DualWrite(key, val, res.End); err != nil {
+				return err
+			}
 		}
-		if s.Net.Gated() {
-			s.Net.TrackResponse(seq, p.Conn, p.Req, p.Submit, res.End)
-		} else {
-			s.Net.CompleteDirect(p.Conn, p.Req, p.Submit, len(val)+net.RouteHeaderBytes, res.Core)
-		}
+		s.Net.Reply(p, res, seq, len(val)+net.RouteHeaderBytes)
 		return nil
 	}
 }
@@ -326,104 +253,102 @@ func (f *Fleet) dispatch(shard int) func(p net.Packet, ready simclock.Time) erro
 // Step advances the fleet by one deterministic micro-step: the earlier of
 // (earliest queued frame across shards) and (earliest eligible send) runs.
 // When neither exists it returns StepDone if every budget is met, and
-// StepBlocked if gated responses are parked behind the next cut — the
-// harness answers StepBlocked by running a cluster round.
+// StepBlocked if gated responses are parked behind the next cut.
 func (f *Fleet) Step() (StepStatus, error) {
 	shard, arriveAt, haveFrame := f.nextArrival()
-	sender, haveSender := f.nextSender()
-	if haveFrame && (!haveSender || arriveAt <= sender.nextSendAt) {
+	j, sendAt, haveSender := f.NextSender(f.cfg.Requests)
+	if haveFrame && (!haveSender || arriveAt <= sendAt) {
 		_, err := f.c.Shards[shard].Net.DispatchNext(f.dispatch(shard))
 		return StepProgress, err
 	}
 	if haveSender {
-		k := sender
-		k.sent++
-		k.sentShard = k.shard
-		f.c.Shards[k.shard].Net.SendRequest(k.idx, k.sent,
-			len(k.key)+f.cfg.ValueBytes+net.RouteHeaderBytes, k.nextSendAt)
-		if f.OnSend != nil {
-			f.OnSend(k.idx, k.sent, k.nextSendAt)
-		}
+		r := &f.route[j]
+		r.sentShard = r.shard
+		req, at := f.Send(j)
+		f.c.Shards[r.shard].Net.SendRequest(j, req, f.WireBytes(j)+net.RouteHeaderBytes, at)
 		return StepProgress, nil
 	}
-	if f.outstanding() == 0 {
-		if f.doneAll() {
-			return StepDone, nil
-		}
-		return StepBlocked, nil
+	if f.DoneAll(f.cfg.Requests) {
+		return StepDone, nil
 	}
 	return StepBlocked, nil
 }
 
-func (f *Fleet) outstanding() int {
-	var o int
-	for _, k := range f.keys {
-		o += int(k.sent - k.acked)
+// Advance is the one micro-step scheduler for a cluster under load: a
+// round step while a round is in flight (so crashes can land between any
+// two protocol actions); otherwise, while a migration epoch is in flight,
+// strict alternation of migration and fleet micro-steps (keys stream under
+// live writes); and a fleet micro-step that opens a round when every
+// client is blocked — unless an epoch holds the ring, in which case the
+// migration's own commit cut does the releasing. Returns the fleet step's
+// status, or StepProgress for a round or migration action.
+func (f *Fleet) Advance() (StepStatus, error) {
+	c := f.c
+	if c.CurrentPhase() != PhaseIdle {
+		return StepProgress, c.Step()
 	}
-	return o
+	if c.MigrationInFlight() && f.migTurn {
+		f.migTurn = false
+		return StepProgress, c.MigStep()
+	}
+	f.migTurn = true
+	st, err := f.Step()
+	if err == nil && st == StepBlocked && !c.MigrationInFlight() {
+		c.StartRound()
+	}
+	return st, err
 }
 
-func (f *Fleet) doneAll() bool {
-	if f.cfg.Requests <= 0 {
-		return false
-	}
-	for _, k := range f.keys {
-		if k.acked < uint64(f.cfg.Requests) {
-			return false
-		}
-	}
-	return true
-}
-
-// Run drives the fleet to completion (requires Requests > 0), answering
-// every StepBlocked with a full cluster round — the steady-state loop of
-// "serve traffic, cut, release".
+// Run drives the fleet to completion with Advance (requires Requests > 0):
+// the steady-state loop of "serve traffic, cut, release".
 func (f *Fleet) Run() error {
-	if f.cfg.Requests <= 0 {
-		return fmt.Errorf("cluster: Run needs a bounded FleetConfig.Requests")
-	}
-	limit := len(f.keys)*f.cfg.Requests*64 + 16384
-	for i := 0; ; i++ {
-		if i > limit {
-			return fmt.Errorf("cluster: no progress after %d micro-steps (%d/%d acked)",
-				limit, f.TotalAcked(), len(f.keys)*f.cfg.Requests)
-		}
-		st, err := f.Step()
-		if err != nil {
+	return f.Drive(f.cfg.Requests, func() (bool, error) {
+		st, err := f.Advance()
+		return st == StepDone, err
+	})
+}
+
+// Fail injects one failure and runs its recovery: TargetPower crashes
+// every shard and resyncs the whole fleet, TargetCoord kills the
+// coordinator (no client state is lost), and a shard index crashes that
+// shard and resyncs the keys it owned. A power failure resyncs the fleet
+// even when recovery reports an error, so a harness that records the
+// error can keep driving.
+func (f *Fleet) Fail(target int) error {
+	switch target {
+	case TargetPower:
+		_, err := f.c.PowerFail()
+		f.ResyncAll()
+		return err
+	case TargetCoord:
+		return f.c.FailCoordinator()
+	default:
+		if err := f.c.FailShard(target); err != nil {
 			return err
 		}
-		switch st {
-		case StepDone:
-			return nil
-		case StepBlocked:
-			if err := f.c.Round(); err != nil {
-				return err
-			}
-		}
+		f.ResyncShard(target)
+		return nil
 	}
 }
 
 // ResyncShard realigns the fleet with shard i after it crashed and
 // recovered: the shard's queued frames and unreleased responses are gone,
-// so every key it owns rewinds its send cursor to its last acknowledged
-// request and retransmits after a one-RTT timeout. Keys on other shards
-// are untouched — the failure is partial, which is the point of sharding.
+// so every key it owns (or last sent to) rewinds its send cursor to its
+// last acknowledged request and retransmits after a one-RTT timeout. Keys
+// on other shards are untouched — the failure is partial, which is the
+// point of sharding.
 func (f *Fleet) ResyncShard(i int) {
 	s := f.c.Shards[i]
 	s.Net.OnMachineRestore()
 	f.applyAffinity()
-	rto := s.M.Now().Add(s.M.Model.NetRTT)
-	for _, k := range f.keys {
-		if k.shard != i && k.sentShard != i {
-			continue
+	f.Rewind(s.M.Now().Add(s.M.Model.NetRTT), func(j int) bool {
+		r := &f.route[j]
+		if r.shard != i && r.sentShard != i {
+			return false
 		}
-		f.Retransmits += k.sent - k.acked
-		k.sent = k.acked
-		k.sentShard = k.shard
-		if rto > k.nextSendAt {
-			k.nextSendAt = rto
-		}
-	}
+		r.sentShard = r.shard // the rewound request is re-sent to the owner
+		return true
+	})
 }
 
 // ResyncAll resyncs every shard (after a whole-cluster power failure).
@@ -434,18 +359,16 @@ func (f *Fleet) ResyncAll() {
 }
 
 // PeekCounter reads key j's stored request counter from its owning shard's
-// state (0 when absent): the oracle read the justification and
-// linearizability checks compare acknowledgements against.
+// state (0 when absent): the oracle read the justification
+// (CheckJustified) and linearizability checks compare acknowledgements
+// against.
 func (f *Fleet) PeekCounter(j int) (uint64, error) {
-	k := f.keys[j]
-	val, ok, err := f.c.Shards[k.shard].Srv.Peek(k.key)
+	shard := f.route[j].shard
+	v, err := net.PeekCounter(f.c.Shards[shard].Srv, f.Key(j))
 	if err != nil {
-		return 0, fmt.Errorf("cluster: peeking %q on shard %d: %w", k.key, k.shard, err)
+		return 0, fmt.Errorf("cluster: shard %d: %w", shard, err)
 	}
-	if !ok {
-		return 0, nil
-	}
-	return net.CounterValue(val), nil
+	return v, nil
 }
 
 // CheckSoleOwner asserts that no ACKNOWLEDGED request was ever served by a
@@ -458,55 +381,26 @@ func (f *Fleet) PeekCounter(j int) (uint64, error) {
 // shard the ring did not point at.
 func (f *Fleet) CheckSoleOwner() ([]string, error) {
 	var bad []string
-	for j, k := range f.keys {
-		owner := f.c.Ring.Owner(k.key)
-		var ownerVal uint64
-		if v, ok, err := f.c.Shards[owner].Srv.Peek(k.key); err != nil {
-			return nil, fmt.Errorf("cluster: peeking %q on owner %d: %w", k.key, owner, err)
-		} else if ok {
-			ownerVal = net.CounterValue(v)
+	for j := 0; j < f.Keys(); j++ {
+		key := f.Key(j)
+		owner := f.c.Ring.Owner(key)
+		ownerVal, err := net.PeekCounter(f.c.Shards[owner].Srv, key)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: owner %d: %w", owner, err)
 		}
 		for i, s := range f.c.Shards {
 			if i == owner {
 				continue
 			}
-			v, ok, err := s.Srv.Peek(k.key)
+			cv, err := net.PeekCounter(s.Srv, key)
 			if err != nil {
-				return nil, fmt.Errorf("cluster: peeking %q on shard %d: %w", k.key, i, err)
+				return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 			}
-			if ok {
-				cv := net.CounterValue(v)
-				if cv > ownerVal && cv <= k.acked {
-					bad = append(bad, fmt.Sprintf(
-						"key %d: acked counter %d lives on shard %d but ring owner %d holds %d",
-						j, cv, i, owner, ownerVal))
-				}
+			if cv > ownerVal && cv <= f.Acked(j) {
+				bad = append(bad, fmt.Sprintf(
+					"key %d: acked counter %d lives on shard %d but ring owner %d holds %d",
+					j, cv, i, owner, ownerVal))
 			}
-		}
-	}
-	return bad, nil
-}
-
-// CheckJustified asserts the cluster-wide external-synchrony invariant
-// against the restored stores: for every key, the client's highest
-// acknowledged request index must not exceed the counter the owning
-// shard's state holds. An acknowledged-but-unpersisted response is exactly
-// the output commit the cut gate exists to prevent.
-func (f *Fleet) CheckJustified() ([]string, error) {
-	var bad []string
-	for _, k := range f.keys {
-		val, ok, err := f.c.Shards[k.shard].Srv.Peek(k.key)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: peeking %q on shard %d: %w", k.key, k.shard, err)
-		}
-		var counter uint64
-		if ok {
-			counter = net.CounterValue(val)
-		}
-		if k.acked > counter {
-			bad = append(bad, fmt.Sprintf(
-				"key %d (shard %d): client holds an acknowledgement for request %d but restored state justifies only %d",
-				k.idx, k.shard, k.acked, counter))
 		}
 	}
 	return bad, nil

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+
+	"treesls/internal/cluster"
 )
 
 // The three reshard scripts the sweep exercises: scale-out, scale-in, and
@@ -137,9 +139,9 @@ func TestReshardCrashSweep(t *testing.T) {
 		if !base.Reshards[0].Add {
 			src, dst = 2, base.Reshards[0].Target
 		}
-		for _, target := range []int{TargetPower, TargetCoord, src, dst} {
+		for _, target := range []int{cluster.TargetPower, cluster.TargetCoord, src, dst} {
 			target := target
-			t.Run(fmt.Sprintf("%s/%s", base.Name, TargetName(target)), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", base.Name, cluster.TargetName(target)), func(t *testing.T) {
 				skipped := 0
 				for k := uint64(1); k <= total; k += stride {
 					sc := base
@@ -194,7 +196,7 @@ func TestReshardUngatedConvicted(t *testing.T) {
 		sc := Script{Name: "ungated-reshard", Seed: 24, Shards: 3, Clients: 2,
 			KeysPerClient: 2, Requests: 4, Window: 1, Think: 200, Gated: false,
 			Reshards: []Reshard{{At: 30, Add: true}},
-			Crashes:  []Crash{{At: k, Target: TargetPower}}}
+			Crashes:  []Crash{{At: k, Target: cluster.TargetPower}}}
 		r, err := Run(sc)
 		if err != nil {
 			t.Fatalf("ungated k=%d: %v", k, err)
@@ -229,7 +231,7 @@ func TestReshardUngatedConvicted(t *testing.T) {
 func TestReshardDeterminism(t *testing.T) {
 	sc := Script{Name: "reshard-det", Seed: 25, Shards: 3, Clients: 3, Requests: 5, Gated: true,
 		Reshards: []Reshard{{At: 28, Add: true}, {At: 29, Target: 1}},
-		Crashes:  []Crash{{At: 45, Target: 3}, {At: 90, Target: TargetPower}}}
+		Crashes:  []Crash{{At: 45, Target: 3}, {At: 90, Target: cluster.TargetPower}}}
 	a, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)

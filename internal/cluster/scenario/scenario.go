@@ -24,17 +24,9 @@ import (
 	"treesls/internal/simclock"
 )
 
-// Crash targets. Non-negative values name a shard index.
-const (
-	// TargetPower fails every shard at once (whole-cluster power loss).
-	TargetPower = -1
-	// TargetCoord kills the coordinator process (durable cut log
-	// survives, forming state is lost).
-	TargetCoord = -2
-)
-
 // Crash is one scripted failure: fire when the cluster's event counter
-// reaches At, against the given target.
+// reaches At, against the given target (cluster.TargetPower,
+// cluster.TargetCoord, or a shard index).
 type Crash struct {
 	At     uint64
 	Target int
@@ -49,18 +41,6 @@ type Reshard struct {
 	At     uint64
 	Add    bool
 	Target int // the leaving shard (ignored when Add)
-}
-
-// TargetName names a crash target for logs.
-func TargetName(target int) string {
-	switch {
-	case target == TargetPower:
-		return "power"
-	case target == TargetCoord:
-		return "coord"
-	default:
-		return fmt.Sprintf("shard%d", target)
-	}
 }
 
 // Script is one whole-cluster scenario.
@@ -278,27 +258,19 @@ func Run(sc Script) (Result, error) {
 			// created it. A logged no-op keeps the sweep's coordinate
 			// space uniform.
 			logf("crash %s skipped (only %d machines) at events=%d\n",
-				TargetName(target), len(c.Shards), c.Events())
+				cluster.TargetName(target), len(c.Shards), c.Events())
 			res.CrashesSkipped++
 			return nil
 		}
-		logf("crash %s at events=%d time=%d\n", TargetName(target), c.Events(), c.Now())
-		switch {
-		case target == TargetPower:
-			if _, err := c.PowerFail(); err != nil {
-				res.CutViolations = append(res.CutViolations,
-					fmt.Sprintf("crash %d (%s): %v", n, TargetName(target), err))
+		logf("crash %s at events=%d time=%d\n", cluster.TargetName(target), c.Events(), c.Now())
+		// A whole-cluster power failure that recovers onto a mismatched cut
+		// is a conviction to record; any other recovery failure aborts.
+		if err := fleet.Fail(target); err != nil {
+			if target != cluster.TargetPower {
+				return fmt.Errorf("%s recovery: %w", cluster.TargetName(target), err)
 			}
-			fleet.ResyncAll()
-		case target == TargetCoord:
-			if err := c.FailCoordinator(); err != nil {
-				return fmt.Errorf("coordinator recovery: %w", err)
-			}
-		default:
-			if err := c.FailShard(target); err != nil {
-				return fmt.Errorf("shard %d recovery: %w", target, err)
-			}
-			fleet.ResyncShard(target)
+			res.CutViolations = append(res.CutViolations,
+				fmt.Sprintf("crash %d (%s): %v", n, cluster.TargetName(target), err))
 		}
 		// Recovery always converges on the newest announced cut: live
 		// digests must reproduce the announcement, and no gate may have
@@ -314,11 +286,11 @@ func Run(sc Script) (Result, error) {
 				continue // recorded per violation below
 			}
 			res.CutViolations = append(res.CutViolations,
-				fmt.Sprintf("crash %d (%s): %v", n, TargetName(target), cv.Err))
+				fmt.Sprintf("crash %d (%s): %v", n, cluster.TargetName(target), cv.Err))
 		}
 		for _, b := range bad {
 			res.Unjustified = append(res.Unjustified,
-				fmt.Sprintf("crash %d (%s): %s", n, TargetName(target), b))
+				fmt.Sprintf("crash %d (%s): %s", n, cluster.TargetName(target), b))
 		}
 		logf("recovered epoch=%d ring=%d versions=%v unjustified=%d\n",
 			c.Coord.Newest().Epoch, c.Ring.Version(), c.CommittedVersions(), len(bad))
@@ -330,7 +302,6 @@ func Run(sc Script) (Result, error) {
 	}
 
 	next, nextR := 0, 0
-	migTurn := false
 	limit := sc.Clients*sc.KeysPerClient*sc.Requests*256 + 65536
 	for step := 0; ; step++ {
 		if step > limit {
@@ -344,18 +315,11 @@ func Run(sc Script) (Result, error) {
 			next++
 			continue
 		}
-		// A round in flight advances one micro-action at a time so crash
-		// thresholds can land between any two protocol actions.
-		if c.CurrentPhase() != cluster.PhaseIdle {
-			if err := c.Step(); err != nil {
-				return res, fmt.Errorf("scenario %s: round step: %w", sc.Name, err)
-			}
-			continue
-		}
 		// Once traffic is complete the event counter stalls, so a pending
-		// reshard fires regardless of its threshold.
+		// reshard fires regardless of its threshold. A reshard only opens
+		// between rounds.
 		fleetDone := fleet.TotalAcked() >= uint64(sc.Clients*sc.KeysPerClient*sc.Requests)
-		if nextR < len(sc.Reshards) && !c.MigrationInFlight() &&
+		if nextR < len(sc.Reshards) && c.CurrentPhase() == cluster.PhaseIdle && !c.MigrationInFlight() &&
 			(fleetDone || c.Events() >= sc.Reshards[nextR].At) {
 			r := sc.Reshards[nextR]
 			nextR++
@@ -380,32 +344,14 @@ func Run(sc Script) (Result, error) {
 			}
 			continue
 		}
-		// A migration epoch interleaves with traffic one action at a time:
-		// strict alternation keeps the schedule deterministic while keys
-		// stream under live writes (the dual-routing window the sweep
-		// crashes into).
-		if c.MigrationInFlight() && migTurn {
-			migTurn = false
-			if err := c.MigStep(); err != nil {
-				return res, fmt.Errorf("scenario %s: migration step: %w", sc.Name, err)
-			}
-			continue
-		}
-		migTurn = true
-		st, err := fleet.Step()
+		st, err := fleet.Advance()
 		if err != nil {
-			return res, fmt.Errorf("scenario %s: fleet step: %w", sc.Name, err)
+			return res, fmt.Errorf("scenario %s: step: %w", sc.Name, err)
 		}
-		if st == cluster.StepDone {
-			if c.MigrationInFlight() || nextR < len(sc.Reshards) {
-				// Traffic finished first: drain the remaining scripted
-				// reshards so the run ends on a settled ring.
-				continue
-			}
+		// Traffic finishing first does not end the run: the remaining
+		// scripted reshards drain so it ends on a settled ring.
+		if st == cluster.StepDone && !c.MigrationInFlight() && nextR == len(sc.Reshards) {
 			break
-		}
-		if st == cluster.StepBlocked && !c.MigrationInFlight() {
-			c.StartRound()
 		}
 	}
 

@@ -3,6 +3,7 @@ package scenario
 import (
 	"testing"
 
+	"treesls/internal/cluster"
 	"treesls/internal/mem"
 )
 
@@ -66,27 +67,27 @@ func TestCleanClusterRun(t *testing.T) {
 func TestScenarioTable(t *testing.T) {
 	scripts := []Script{
 		{Name: "early-power", Seed: 1, Gated: true,
-			Crashes: []Crash{{At: 10, Target: TargetPower}}},
+			Crashes: []Crash{{At: 10, Target: cluster.TargetPower}}},
 		{Name: "mid-shard0", Seed: 2, Gated: true,
 			Crashes: []Crash{{At: 40, Target: 0}}},
 		{Name: "mid-shard1", Seed: 3, Gated: true,
 			Crashes: []Crash{{At: 40, Target: 1}}},
 		{Name: "coordinator-loss", Seed: 4, Gated: true,
-			Crashes: []Crash{{At: 35, Target: TargetCoord}}},
+			Crashes: []Crash{{At: 35, Target: cluster.TargetCoord}}},
 		{Name: "coord-then-power", Seed: 5, Gated: true,
-			Crashes: []Crash{{At: 25, Target: TargetCoord}, {At: 70, Target: TargetPower}}},
+			Crashes: []Crash{{At: 25, Target: cluster.TargetCoord}, {At: 70, Target: cluster.TargetPower}}},
 		{Name: "shard-storm", Seed: 6, Shards: 3, Clients: 3, Gated: true,
 			Crashes: []Crash{{At: 20, Target: 0}, {At: 50, Target: 1}, {At: 80, Target: 2}}},
 		{Name: "double-power", Seed: 7, Gated: true,
-			Crashes: []Crash{{At: 15, Target: TargetPower}, {At: 60, Target: TargetPower}}},
+			Crashes: []Crash{{At: 15, Target: cluster.TargetPower}, {At: 60, Target: cluster.TargetPower}}},
 		{Name: "adr-power", Seed: 8, Gated: true, Persist: mem.ModeADR,
-			Crashes: []Crash{{At: 30, Target: TargetPower}}},
+			Crashes: []Crash{{At: 30, Target: cluster.TargetPower}}},
 		{Name: "adr-shard", Seed: 9, Gated: true, Persist: mem.ModeADR,
 			Crashes: []Crash{{At: 45, Target: 1}}},
 		{Name: "replicated-power", Seed: 10, Gated: true, Replicate: true,
-			Crashes: []Crash{{At: 40, Target: TargetPower}}},
+			Crashes: []Crash{{At: 40, Target: cluster.TargetPower}}},
 		{Name: "four-shards", Seed: 11, Shards: 4, Clients: 4, Gated: true,
-			Crashes: []Crash{{At: 60, Target: 2}, {At: 110, Target: TargetCoord}}},
+			Crashes: []Crash{{At: 60, Target: 2}, {At: 110, Target: cluster.TargetCoord}}},
 		{Name: "back-to-back", Seed: 12, Gated: true,
 			Crashes: []Crash{{At: 30, Target: 0}, {At: 31, Target: 1}}},
 	}
@@ -120,9 +121,9 @@ func TestCrashAtEveryEvent(t *testing.T) {
 		stride = 7
 	}
 	base.fill()
-	for _, target := range []int{TargetPower, TargetCoord, 0, 1} {
+	for _, target := range []int{cluster.TargetPower, cluster.TargetCoord, 0, 1} {
 		target := target
-		t.Run(TargetName(target), func(t *testing.T) {
+		t.Run(cluster.TargetName(target), func(t *testing.T) {
 			for k := uint64(1); k <= total; k += stride {
 				sc := base
 				sc.Name = "sweep-k"
@@ -158,7 +159,7 @@ func TestUngatedClusterConvicted(t *testing.T) {
 	var convictions int
 	for _, k := range crashPoints {
 		sc := Script{Name: "ungated", Seed: 14, Gated: false,
-			Crashes: []Crash{{At: k, Target: TargetPower}}}
+			Crashes: []Crash{{At: k, Target: cluster.TargetPower}}}
 		r, err := Run(sc)
 		if err != nil {
 			t.Fatalf("ungated k=%d: %v", k, err)
@@ -183,7 +184,7 @@ func TestUngatedClusterConvicted(t *testing.T) {
 // demands bit-identical digests — CI runs this under -race.
 func TestScenarioDeterminism(t *testing.T) {
 	sc := Script{Name: "det", Seed: 15, Shards: 3, Clients: 3, Requests: 6, Gated: true, Replicate: true,
-		Crashes: []Crash{{At: 20, Target: 1}, {At: 55, Target: TargetCoord}, {At: 90, Target: TargetPower}}}
+		Crashes: []Crash{{At: 20, Target: 1}, {At: 55, Target: cluster.TargetCoord}, {At: 90, Target: cluster.TargetPower}}}
 	a, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)

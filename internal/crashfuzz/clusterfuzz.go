@@ -126,8 +126,8 @@ type clusterFuzzer struct {
 	// (all of them for a power failure); overlays target faults there.
 	lastVictims []int
 
-	oracles  *faultplane.Registry
-	preCrash []func() error
+	oracles *faultplane.Registry
+	faultplane.PreCrashHooks
 }
 
 // clusterDomain adapts the cluster campaign to the fault-plane engine.
@@ -176,15 +176,16 @@ func (f *clusterFuzzer) Finish() error {
 	return nil
 }
 
-// Crash targets: 0 = power, 1 = coordinator, 2+i = shard i.
-func targetName(target, shards int) string {
+// Crash targets: 0 = power, 1 = coordinator, 2+i = shard i. clusterTarget
+// maps one to its cluster.Fleet.Fail target.
+func clusterTarget(target, shards int) int {
 	switch target {
 	case 0:
-		return "power"
+		return cluster.TargetPower
 	case 1:
-		return "coord"
+		return cluster.TargetCoord
 	default:
-		return fmt.Sprintf("shard%d", (target-2)%shards)
+		return (target - 2) % shards
 	}
 }
 
@@ -267,11 +268,6 @@ func (f *clusterFuzzer) registerOracles() {
 // Oracles returns the cluster domain's registry.
 func (f *clusterFuzzer) Oracles() *faultplane.Registry { return f.oracles }
 
-// AddPreCrash registers a composition hook run at the crash boundary —
-// after the countdown elapsed and the crash target is known, before the
-// failure is injected.
-func (f *clusterFuzzer) AddPreCrash(fn func() error) { f.preCrash = append(f.preCrash, fn) }
-
 // Now reports simulated time for engine trace instants.
 func (f *clusterFuzzer) Now() simclock.Time { return f.c.Shards[0].M.Now() }
 
@@ -280,23 +276,6 @@ func (f *clusterFuzzer) Cluster() *cluster.Cluster { return f.c }
 
 // Victims reports the shard indices the last injection crash-restored.
 func (f *clusterFuzzer) Victims() []int { return f.lastVictims }
-
-// stepOnce advances the cluster world by one micro-action: a round step if
-// a round is in flight (so crashes can land between protocol actions), a
-// fleet micro-step otherwise, opening a round when the gates block.
-func (f *clusterFuzzer) stepOnce() error {
-	if f.c.CurrentPhase() != cluster.PhaseIdle {
-		return f.c.Step()
-	}
-	st, err := f.fleet.Step()
-	if err != nil {
-		return err
-	}
-	if st == cluster.StepBlocked {
-		f.c.StartRound()
-	}
-	return nil
-}
 
 // classify records which protocol boundary the crash landed on.
 func (f *clusterFuzzer) classify(res *ClusterResult) {
@@ -319,10 +298,10 @@ func (f *clusterFuzzer) classify(res *ClusterResult) {
 // and boundaries varies per seed), then waits out a random event countdown
 // and injects; the engine runs the oracle registry next.
 func (f *clusterFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
-	target := f.pickTarget()
+	target := clusterTarget(f.pickTarget(), f.c.Config().Shards)
 	fired, err := f.crashOnce(target)
 	if err != nil {
-		return fired, fmt.Errorf("%s: %w", targetName(target, f.cfg.Shards), attributeCutDigest(err))
+		return fired, fmt.Errorf("%s: %w", cluster.TargetName(target), attributeCutDigest(err))
 	}
 	return fired, nil
 }
@@ -340,69 +319,45 @@ func attributeCutDigest(err error) error {
 	return err
 }
 
-// crashOnce waits a random event countdown, then injects the failure and
-// runs the recovery procedure for the target. Oracle checks are the
-// engine's job (or the caller's, for the one-shot entry point).
-func (f *clusterFuzzer) crashOnce(target int) (bool, error) {
-	res := f.res
-	deadline := f.c.Events() + uint64(1+f.rng.Intn(f.cfg.EventWindow))
-	fired := false
-	for step := 0; step < f.cfg.StepsPerCrash; step++ {
-		if f.c.Events() >= deadline {
-			fired = true
-			break
+// advanceToEvent drives the cluster with Fleet.Advance until its event
+// counter reaches deadline, within a budget of steps micro-steps; fired
+// reports whether the deadline was reached (a crash is due).
+func advanceToEvent(fleet *cluster.Fleet, c *cluster.Cluster, deadline uint64, steps int) (fired bool, err error) {
+	for step := 0; step < steps; step++ {
+		if c.Events() >= deadline {
+			return true, nil
 		}
-		if err := f.stepOnce(); err != nil {
+		if _, err := fleet.Advance(); err != nil {
 			return false, err
 		}
 	}
-	if !fired {
-		return false, nil
+	return false, nil
+}
+
+// crashOnce waits a random event countdown, then injects the failure and
+// runs the recovery procedure for target, a cluster.Fleet.Fail target.
+// Oracle checks are the engine's job (or the caller's, for the one-shot
+// entry point).
+func (f *clusterFuzzer) crashOnce(target int) (bool, error) {
+	res := f.res
+	deadline := f.c.Events() + uint64(1+f.rng.Intn(f.cfg.EventWindow))
+	if fired, err := advanceToEvent(f.fleet, f.c, deadline, f.cfg.StepsPerCrash); !fired || err != nil {
+		return false, err
 	}
 	f.classify(res)
-	f.lastVictims = f.lastVictims[:0]
-	switch target {
-	case 0:
-		for i := range f.c.Shards {
-			f.lastVictims = append(f.lastVictims, i)
-		}
-	case 1:
-	default:
-		f.lastVictims = append(f.lastVictims, (target-2)%f.c.Config().Shards)
-	}
-	if err := f.runPreCrash(); err != nil {
+	f.lastVictims = f.c.Victims(target)
+	if err := f.RunPreCrash(); err != nil {
 		return false, err
 	}
 	switch target {
-	case 0:
+	case cluster.TargetPower:
 		res.PowerCrashes++
-		if _, err := f.c.PowerFail(); err != nil {
-			return true, err
-		}
-		f.fleet.ResyncAll()
-	case 1:
+	case cluster.TargetCoord:
 		res.CoordCrashes++
-		if err := f.c.FailCoordinator(); err != nil {
-			return true, err
-		}
 	default:
 		res.ShardCrashes++
-		victim := (target - 2) % f.c.Config().Shards
-		if err := f.c.FailShard(victim); err != nil {
-			return true, err
-		}
-		f.fleet.ResyncShard(victim)
 	}
-	return true, nil
-}
-
-func (f *clusterFuzzer) runPreCrash() error {
-	for _, fn := range f.preCrash {
-		if err := fn(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return true, f.fleet.Fail(target)
 }
 
 // ClusterOneShot runs a single parameterized cluster crash injection — the
@@ -421,26 +376,12 @@ func ClusterOneShot(mode mem.PersistMode, seed, eventK uint64, target uint8, ste
 		return fmt.Errorf("boot: %w", err)
 	}
 	deadline := f.c.Events() + eventK%uint64(cfg.EventWindow) + 1
-	n := int(steps)%cfg.StepsPerCrash + 1
-	fired := false
-	for step := 0; step < n; step++ {
-		if f.c.Events() >= deadline {
-			fired = true
-			break
-		}
-		if err := f.stepOnce(); err != nil {
-			return err
-		}
-	}
-	if !fired {
-		return nil
-	}
-	fired, err = f.crashOnce(int(target) % (2 + cfg.Shards))
-	if err != nil {
+	if fired, err := advanceToEvent(f.fleet, f.c, deadline, int(steps)%cfg.StepsPerCrash+1); !fired || err != nil {
 		return err
 	}
-	if !fired {
-		return nil
+	fired, err := f.crashOnce(clusterTarget(int(target)%(2+cfg.Shards), cfg.Shards))
+	if !fired || err != nil {
+		return err
 	}
 	_, err = f.oracles.Check()
 	return err

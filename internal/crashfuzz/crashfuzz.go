@@ -127,8 +127,8 @@ type fuzzer struct {
 	p   *kernel.Process
 	va  uint64
 
-	oracles  *faultplane.Registry
-	preCrash []func() error
+	oracles *faultplane.Registry
+	faultplane.PreCrashHooks
 
 	live      []uint64 // current app state
 	committed []uint64 // app state at the last durable commit
@@ -265,20 +265,8 @@ func (f *fuzzer) registerOracles() {
 // Oracles returns the crash domain's registry.
 func (f *fuzzer) Oracles() *faultplane.Registry { return f.oracles }
 
-// AddPreCrash registers a composition hook run at the crash boundary.
-func (f *fuzzer) AddPreCrash(fn func() error) { f.preCrash = append(f.preCrash, fn) }
-
 // Now reports simulated time for engine trace instants.
 func (f *fuzzer) Now() simclock.Time { return f.m.Now() }
-
-func (f *fuzzer) runPreCrash() error {
-	for _, fn := range f.preCrash {
-		if err := fn(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 func (f *fuzzer) writePage(i int, v uint64) error {
 	_, err := f.m.Run(f.p, f.p.Thread(f.rng.Intn(f.cfg.Threads)), func(e *kernel.Env) error {
@@ -341,7 +329,7 @@ func (f *fuzzer) Round(rng *rand.Rand, round int) (bool, error) {
 	if !fired {
 		return false, nil
 	}
-	if err := f.runPreCrash(); err != nil {
+	if err := f.RunPreCrash(); err != nil {
 		return false, err
 	}
 	f.m.Crash()

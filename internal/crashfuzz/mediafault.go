@@ -162,8 +162,8 @@ type mediaFuzzer struct {
 	// the correct loud outcome rather than a harness failure.
 	primaryFault, mirrorFault bool
 
-	oracles  *faultplane.Registry
-	preCrash []func() error
+	oracles *faultplane.Registry
+	faultplane.PreCrashHooks
 }
 
 func newMediaFuzzer(cfg MediaConfig, seed uint64, rng *rand.Rand, res *MediaResult) (*mediaFuzzer, error) {
@@ -227,10 +227,6 @@ func (f *mediaFuzzer) registerOracles() {
 
 // Oracles returns the media domain's registry.
 func (f *mediaFuzzer) Oracles() *faultplane.Registry { return f.oracles }
-
-// AddPreCrash registers a composition hook run at the crash boundary —
-// after this round's targeted injection, before the power failure lands.
-func (f *mediaFuzzer) AddPreCrash(fn func() error) { f.preCrash = append(f.preCrash, fn) }
 
 // Now reports simulated time for engine trace instants.
 func (f *mediaFuzzer) Now() simclock.Time { return f.m.Now() }
@@ -381,7 +377,7 @@ func (f *mediaFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
 		f.primaryFault, f.mirrorFault = false, false
 	}
 	f.inject(res)
-	if err := f.runPreCrash(); err != nil {
+	if err := f.RunPreCrash(); err != nil {
 		return false, err
 	}
 	f.m.Crash()
@@ -418,15 +414,6 @@ func (f *mediaFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
 	// primary commit record; latent mirror rot is untouched.
 	f.primaryFault = false
 	return true, nil
-}
-
-func (f *mediaFuzzer) runPreCrash() error {
-	for _, fn := range f.preCrash {
-		if err := fn(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Finish folds the seed's repair and robustness counters.

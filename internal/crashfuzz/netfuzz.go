@@ -108,8 +108,8 @@ type netFuzzer struct {
 	nw    *net.Network
 	fleet *net.Fleet
 
-	oracles  *faultplane.Registry
-	preCrash []func() error
+	oracles *faultplane.Registry
+	faultplane.PreCrashHooks
 
 	// lastFired gates PostRound: the legacy silo only ran progress steps
 	// after a fired crash, and the steps advance machine state that the
@@ -214,9 +214,6 @@ func (f *netFuzzer) registerOracles() {
 // Oracles returns the net domain's registry.
 func (f *netFuzzer) Oracles() *faultplane.Registry { return f.oracles }
 
-// AddPreCrash registers a composition hook run at the crash boundary.
-func (f *netFuzzer) AddPreCrash(fn func() error) { f.preCrash = append(f.preCrash, fn) }
-
 // Now reports simulated time for engine trace instants.
 func (f *netFuzzer) Now() simclock.Time { return f.m.Now() }
 
@@ -276,7 +273,7 @@ func (f *netFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
 	if !fired {
 		return false, nil
 	}
-	if err := f.runPreCrash(); err != nil {
+	if err := f.RunPreCrash(); err != nil {
 		return false, err
 	}
 	f.m.Crash()
@@ -286,15 +283,6 @@ func (f *netFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
 	f.fleet.ResyncAfterRestore()
 	f.lastFired = true
 	return true, nil
-}
-
-func (f *netFuzzer) runPreCrash() error {
-	for _, fn := range f.preCrash {
-		if err := fn(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // PostRound runs un-armed progress: the fleet reaches checkpoints so the

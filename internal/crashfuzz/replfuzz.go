@@ -116,8 +116,8 @@ type replFuzzer struct {
 	// after a fired crash, and progress rounds draw from the stream.
 	lastFired bool
 
-	oracles  *faultplane.Registry
-	preCrash []func() error
+	oracles *faultplane.Registry
+	faultplane.PreCrashHooks
 }
 
 // replDomain adapts the replication campaign to the fault-plane engine.
@@ -202,9 +202,6 @@ func (f *replFuzzer) registerOracles() {
 // Oracles returns the repl domain's registry.
 func (f *replFuzzer) Oracles() *faultplane.Registry { return f.oracles }
 
-// AddPreCrash registers a composition hook run at the crash boundary.
-func (f *replFuzzer) AddPreCrash(fn func() error) { f.preCrash = append(f.preCrash, fn) }
-
 // Now reports simulated time for engine trace instants.
 func (f *replFuzzer) Now() simclock.Time { return f.m.Now() }
 
@@ -272,7 +269,7 @@ func (f *replFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
 	if !fired {
 		return false, nil
 	}
-	if err := f.runPreCrash(); err != nil {
+	if err := f.RunPreCrash(); err != nil {
 		return false, err
 	}
 	f.m.Crash()
@@ -290,15 +287,6 @@ func (f *replFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
 	}
 	f.lastFired = true
 	return true, nil
-}
-
-func (f *replFuzzer) runPreCrash() error {
-	for _, fn := range f.preCrash {
-		if err := fn(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // PostRound runs un-armed progress after a fired crash: new rounds

@@ -134,12 +134,11 @@ type ReshardResult struct {
 
 // reshardFuzzer is the per-seed world: one elastic cluster plus its fleet.
 type reshardFuzzer struct {
-	cfg     ReshardConfig
-	rng     *rand.Rand
-	res     *ReshardResult
-	c       *cluster.Cluster
-	fleet   *cluster.Fleet
-	migTurn bool
+	cfg   ReshardConfig
+	rng   *rand.Rand
+	res   *ReshardResult
+	c     *cluster.Cluster
+	fleet *cluster.Fleet
 
 	// Per-round oracle context, stashed by Round at crash time: the ring
 	// the recovery must converge to is fixed the instant the failure
@@ -152,8 +151,8 @@ type reshardFuzzer struct {
 	// overlays target faults there.
 	lastVictims []int
 
-	oracles  *faultplane.Registry
-	preCrash []func() error
+	oracles *faultplane.Registry
+	faultplane.PreCrashHooks
 }
 
 // reshardDomain adapts the reshard campaign to the fault-plane engine.
@@ -216,6 +215,26 @@ func reshardTargetName(target int) string {
 		return "source"
 	default:
 		return "dest"
+	}
+}
+
+// failTarget maps a reshard crash target to its cluster.Fleet.Fail target.
+// The source is a shard that held keys before the epoch: the first old
+// member that is not the destination.
+func failTarget(target int, oldMembers []int, dest int) int {
+	switch target {
+	case reshardTargetPower:
+		return cluster.TargetPower
+	case reshardTargetCoord:
+		return cluster.TargetCoord
+	case reshardTargetSource:
+		src := oldMembers[0]
+		if src == dest && len(oldMembers) > 1 {
+			src = oldMembers[1]
+		}
+		return src
+	default:
+		return dest
 	}
 }
 
@@ -316,10 +335,6 @@ func (f *reshardFuzzer) registerOracles() {
 // Oracles returns the reshard domain's registry.
 func (f *reshardFuzzer) Oracles() *faultplane.Registry { return f.oracles }
 
-// AddPreCrash registers a composition hook run at the crash boundary —
-// after the epoch reached its crash class, before the failure is injected.
-func (f *reshardFuzzer) AddPreCrash(fn func() error) { f.preCrash = append(f.preCrash, fn) }
-
 // Now reports simulated time for engine trace instants.
 func (f *reshardFuzzer) Now() simclock.Time { return f.c.Shards[0].M.Now() }
 
@@ -328,29 +343,6 @@ func (f *reshardFuzzer) Cluster() *cluster.Cluster { return f.c }
 
 // Victims reports the shard indices the last injection crash-restored.
 func (f *reshardFuzzer) Victims() []int { return f.lastVictims }
-
-// stepOnce advances the world by one micro-action, interleaving migration
-// progress with traffic exactly like the scenario harness: a round step if
-// a round is in flight, alternating migration/fleet steps otherwise, and a
-// round only opens for blocked gates when no epoch holds the ring.
-func (f *reshardFuzzer) stepOnce() error {
-	if f.c.CurrentPhase() != cluster.PhaseIdle {
-		return f.c.Step()
-	}
-	if f.c.MigrationInFlight() && f.migTurn {
-		f.migTurn = false
-		return f.c.MigStep()
-	}
-	f.migTurn = true
-	st, err := f.fleet.Step()
-	if err != nil {
-		return err
-	}
-	if st == cluster.StepBlocked && !f.c.MigrationInFlight() {
-		f.c.StartRound()
-	}
-	return nil
-}
 
 // classOf maps the live migration status to a crash class.
 func classOf(st cluster.MigrationStatus) int {
@@ -409,7 +401,7 @@ func (f *reshardFuzzer) oneEpoch(class, target int) error {
 		if step >= f.cfg.StepsPerCrash {
 			return fmt.Errorf("round never drained to idle")
 		}
-		if err := f.stepOnce(); err != nil {
+		if _, err := f.fleet.Advance(); err != nil {
 			return err
 		}
 	}
@@ -434,7 +426,7 @@ func (f *reshardFuzzer) oneEpoch(class, target int) error {
 			reached = true
 			break
 		}
-		if err := f.stepOnce(); err != nil {
+		if _, err := f.fleet.Advance(); err != nil {
 			return err
 		}
 	}
@@ -444,7 +436,7 @@ func (f *reshardFuzzer) oneEpoch(class, target int) error {
 	// Jitter inside the class window so the crash lands on varying
 	// micro-actions, not always the window's first.
 	for f.rng.Intn(3) != 0 && classOf(f.c.MigrationStatus()) == class {
-		if err := f.stepOnce(); err != nil {
+		if _, err := f.fleet.Advance(); err != nil {
 			return err
 		}
 	}
@@ -466,52 +458,23 @@ func (f *reshardFuzzer) oneEpoch(class, target int) error {
 	f.oldV, f.oldMembers = oldV, oldMembers
 	f.newV, f.newMembers = newV, newMembers
 
-	f.lastVictims = f.lastVictims[:0]
-	src := oldMembers[0]
-	if src == dest && len(oldMembers) > 1 {
-		src = oldMembers[1]
-	}
-	switch target {
-	case reshardTargetPower:
-		for i := range f.c.Shards {
-			f.lastVictims = append(f.lastVictims, i)
-		}
-	case reshardTargetCoord:
-	case reshardTargetSource:
-		f.lastVictims = append(f.lastVictims, src)
-	default:
-		f.lastVictims = append(f.lastVictims, dest)
-	}
-	if err := f.runPreCrash(); err != nil {
+	victim := failTarget(target, oldMembers, dest)
+	f.lastVictims = f.c.Victims(victim)
+	if err := f.RunPreCrash(); err != nil {
 		return err
 	}
-
 	switch target {
 	case reshardTargetPower:
 		res.PowerCrashes++
-		if _, err := f.c.PowerFail(); err != nil {
-			return err
-		}
-		f.fleet.ResyncAll()
 	case reshardTargetCoord:
 		res.CoordCrashes++
-		if err := f.c.FailCoordinator(); err != nil {
-			return err
-		}
 	case reshardTargetSource:
 		res.SourceCrashes++
-		// A shard that held keys before the epoch: the first old member
-		// that is not the destination.
-		if err := f.c.FailShard(src); err != nil {
-			return err
-		}
-		f.fleet.ResyncShard(src)
 	default:
 		res.DestCrashes++
-		if err := f.c.FailShard(dest); err != nil {
-			return err
-		}
-		f.fleet.ResyncShard(dest)
+	}
+	if err := f.fleet.Fail(victim); err != nil {
+		return err
 	}
 
 	if f.wantForward {
@@ -522,20 +485,11 @@ func (f *reshardFuzzer) oneEpoch(class, target int) error {
 	return nil
 }
 
-func (f *reshardFuzzer) runPreCrash() error {
-	for _, fn := range f.preCrash {
-		if err := fn(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // PostRound lets the world breathe between epochs so the next one starts
 // from settled traffic rather than the recovery's doorstep.
 func (f *reshardFuzzer) PostRound(rng *rand.Rand) error {
 	for i, n := 0, 20+f.rng.Intn(40); i < n; i++ {
-		if err := f.stepOnce(); err != nil {
+		if _, err := f.fleet.Advance(); err != nil {
 			return err
 		}
 	}
@@ -595,7 +549,7 @@ func ReshardOneShot(mode mem.PersistMode, seed, eventK uint64, target uint8, ste
 	}
 	// Warm-up: populate the stores so the epoch has keys to move.
 	for i := 0; i < 60; i++ {
-		if err := f.stepOnce(); err != nil {
+		if _, err := f.fleet.Advance(); err != nil {
 			return err
 		}
 	}
@@ -614,48 +568,15 @@ func ReshardOneShot(mode mem.PersistMode, seed, eventK uint64, target uint8, ste
 	newV, newMembers := st.NewRing, ringAfter(oldMembers, dest, st.Add)
 
 	deadline := f.c.Events() + eventK%96 + 1
-	n := int(steps)%cfg.StepsPerCrash + 1
-	fired := false
-	for step := 0; step < n; step++ {
-		if f.c.Events() >= deadline {
-			fired = true
-			break
-		}
-		if err := f.stepOnce(); err != nil {
-			return err
-		}
-	}
-	if !fired {
-		return nil
+	if fired, err := advanceToEvent(f.fleet, f.c, deadline, int(steps)%cfg.StepsPerCrash+1); !fired || err != nil {
+		return err
 	}
 	st = f.c.MigrationStatus()
 	f.wantForward = !st.Active || st.Announced
 	f.oldV, f.oldMembers = oldV, oldMembers
 	f.newV, f.newMembers = newV, newMembers
-	switch int(target) % reshardTargetCount {
-	case reshardTargetPower:
-		if _, err := f.c.PowerFail(); err != nil {
-			return err
-		}
-		f.fleet.ResyncAll()
-	case reshardTargetCoord:
-		if err := f.c.FailCoordinator(); err != nil {
-			return err
-		}
-	case reshardTargetSource:
-		src := oldMembers[0]
-		if src == dest && len(oldMembers) > 1 {
-			src = oldMembers[1]
-		}
-		if err := f.c.FailShard(src); err != nil {
-			return err
-		}
-		f.fleet.ResyncShard(src)
-	default:
-		if err := f.c.FailShard(dest); err != nil {
-			return err
-		}
-		f.fleet.ResyncShard(dest)
+	if err := f.fleet.Fail(failTarget(int(target)%reshardTargetCount, oldMembers, dest)); err != nil {
+		return err
 	}
 	_, err = f.oracles.Check()
 	return err

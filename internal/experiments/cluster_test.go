@@ -21,7 +21,7 @@ func TestClusterScalingGate(t *testing.T) {
 	t.Logf("\n%s", txt)
 
 	var buf bytes.Buffer
-	if err := WriteClusterJSON(&buf, s.Name, rows); err != nil {
+	if err := WriteBenchJSON(&buf, BenchDoc{Figure: "cluster-scaling", Scale: s.Name, Rows: rows}); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

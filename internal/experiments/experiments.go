@@ -13,7 +13,9 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -147,3 +149,22 @@ func table(header []string, rows [][]string) string {
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
+
+// BenchDoc is the one BENCH_*.json document every figure gate emits (CI
+// archives them as BENCH_ckpt/net/scrub/repl/cluster/reshard.json): the
+// figure name, the scale, figure-level counters where a figure has them,
+// and the measured rows.
+type BenchDoc struct {
+	Figure string `json:"figure"`
+	Scale  string `json:"scale"`
+	// KeysMoved is the reshard figure's epoch size (nil elsewhere).
+	KeysMoved *uint64 `json:"keys_moved,omitempty"`
+	Rows      any     `json:"rows"`
+}
+
+// WriteBenchJSON emits doc as an indented JSON document.
+func WriteBenchJSON(w io.Writer, doc BenchDoc) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
+}

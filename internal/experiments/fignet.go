@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"treesls/internal/apps/kvstore"
 	"treesls/internal/kernel"
@@ -121,19 +119,6 @@ func measureNetPoint(s Scale, intervalUs int, gated bool, requests int) (NetRow,
 		row.ReleaseLagP50Us = percentile(nw.ReleaseLags, 0.50).Micros()
 	}
 	return row, nil
-}
-
-// WriteNetJSON emits the rows as the BENCH_net.json document the CI job
-// archives next to BENCH_ckpt.json.
-func WriteNetJSON(w io.Writer, scale string, rows []NetRow) error {
-	doc := struct {
-		Figure string   `json:"figure"`
-		Scale  string   `json:"scale"`
-		Rows   []NetRow `json:"rows"`
-	}{Figure: "net-latency", Scale: scale, Rows: rows}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }
 
 // FindNetRow returns the row for (gated, intervalUs), or false.

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"treesls/internal/apps/kvstore"
 	"treesls/internal/kernel"
@@ -137,19 +135,6 @@ func measureReplPoint(s Scale, intervalUs int, mode repl.Mode, requests int) (Re
 		row.DeltaKBMean = float64(rep.Stats.BytesSent) / float64(rep.Stats.Deltas) / 1024
 	}
 	return row, nil
-}
-
-// WriteReplJSON emits the rows as the BENCH_repl.json document the CI job
-// archives next to BENCH_net.json.
-func WriteReplJSON(w io.Writer, scale string, rows []ReplRow) error {
-	doc := struct {
-		Figure string    `json:"figure"`
-		Scale  string    `json:"scale"`
-		Rows   []ReplRow `json:"rows"`
-	}{Figure: "repl-lag", Scale: scale, Rows: rows}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }
 
 // FindReplRow returns the row for (mode, intervalUs), or false.

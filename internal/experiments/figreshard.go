@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"treesls/internal/cluster"
 	"treesls/internal/simclock"
@@ -28,55 +26,26 @@ type ReshardRow struct {
 	SimMs    float64 `json:"sim_ms"`
 }
 
-// reshardDriver steps one gated cluster + unbounded fleet the way the
-// scenario harness does: rounds one micro-action at a time, migration and
-// traffic interleaved, a round opening for blocked gates only when no
-// epoch holds the ring.
-type reshardDriver struct {
-	c       *cluster.Cluster
-	fleet   *cluster.Fleet
-	migTurn bool
-}
-
-func (d *reshardDriver) step() error {
-	if d.c.CurrentPhase() != cluster.PhaseIdle {
-		return d.c.Step()
-	}
-	if d.c.MigrationInFlight() && d.migTurn {
-		d.migTurn = false
-		return d.c.MigStep()
-	}
-	d.migTurn = true
-	st, err := d.fleet.Step()
-	if err != nil {
-		return err
-	}
-	if st == cluster.StepBlocked && !d.c.MigrationInFlight() {
-		d.c.StartRound()
-	}
-	return nil
-}
-
-// runUntilAcked drives until the fleet has acknowledged `target` requests
-// in total.
-func (d *reshardDriver) runUntilAcked(target uint64) error {
-	for steps := 0; d.fleet.TotalAcked() < target; steps++ {
+// runUntilAcked advances the cluster (Fleet.Advance) until the fleet has
+// acknowledged target requests in total.
+func runUntilAcked(fleet *cluster.Fleet, target uint64) error {
+	for steps := 0; fleet.TotalAcked() < target; steps++ {
 		if steps > 1_000_000 {
 			return fmt.Errorf("experiments: reshard window stalled at %d/%d acks",
-				d.fleet.TotalAcked(), target)
+				fleet.TotalAcked(), target)
 		}
-		if err := d.step(); err != nil {
+		if _, err := fleet.Advance(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// window closes a measurement window that began at latency index `from`
-// and simulated time `since`.
-func (d *reshardDriver) window(name string, shards, from int, since simclock.Time) ReshardRow {
-	lats := d.fleet.Latencies[from:]
-	elapsed := d.c.Now().Sub(since)
+// reshardWindow closes a measurement window that began at latency index
+// `from` and simulated time `since`.
+func reshardWindow(c *cluster.Cluster, fleet *cluster.Fleet, name string, shards, from int, since simclock.Time) ReshardRow {
+	lats := fleet.Latencies[from:]
+	elapsed := c.Now().Sub(since)
 	row := ReshardRow{
 		Window:   name,
 		Shards:   shards,
@@ -126,23 +95,21 @@ func ReshardPause(s Scale) ([]ReshardRow, string, uint64, error) {
 	if err != nil {
 		return nil, "", 0, err
 	}
-	d := &reshardDriver{c: c, fleet: fleet}
-
 	var rows []ReshardRow
 
 	// Before: steady state on the 4-shard ring.
 	from, since := len(fleet.Latencies), c.Now()
-	if err := d.runUntilAcked(uint64(perWindow)); err != nil {
+	if err := runUntilAcked(fleet, uint64(perWindow)); err != nil {
 		return nil, "", 0, err
 	}
-	rows = append(rows, d.window("before", 4, from, since))
+	rows = append(rows, reshardWindow(c, fleet, "before", 4, from, since))
 
 	// During: exactly the migration epoch. Traffic keeps flowing — keys
 	// stream between its requests, dual-writes keep the joiner complete,
 	// and the ring flips when the commit cut is announced. An epoch only
 	// opens on an idle protocol, so drain any round the window left.
 	for c.CurrentPhase() != cluster.PhaseIdle {
-		if err := d.step(); err != nil {
+		if _, err := fleet.Advance(); err != nil {
 			return nil, "", 0, err
 		}
 	}
@@ -154,25 +121,25 @@ func ReshardPause(s Scale) ([]ReshardRow, string, uint64, error) {
 		if steps > 1_000_000 {
 			return nil, "", 0, fmt.Errorf("experiments: migration epoch never completed")
 		}
-		if err := d.step(); err != nil {
+		if _, err := fleet.Advance(); err != nil {
 			return nil, "", 0, err
 		}
 	}
 	// Gated responses perturbed by the epoch release at its commit cut and
 	// reach their clients just after it, so the window extends through the
 	// requests that were in flight while the ring moved.
-	if err := d.runUntilAcked(fleet.TotalAcked() + uint64(perWindow/2)); err != nil {
+	if err := runUntilAcked(fleet, fleet.TotalAcked()+uint64(perWindow/2)); err != nil {
 		return nil, "", 0, err
 	}
-	rows = append(rows, d.window("during", 4, from, since))
+	rows = append(rows, reshardWindow(c, fleet, "during", 4, from, since))
 
 	// After: steady state on the committed 5-shard ring.
 	target := fleet.TotalAcked() + uint64(perWindow)
 	from, since = len(fleet.Latencies), c.Now()
-	if err := d.runUntilAcked(target); err != nil {
+	if err := runUntilAcked(fleet, target); err != nil {
 		return nil, "", 0, err
 	}
-	rows = append(rows, d.window("after", 5, from, since))
+	rows = append(rows, reshardWindow(c, fleet, "after", 5, from, since))
 
 	if c.Stats.Migrations != 1 {
 		return nil, "", 0, fmt.Errorf("experiments: %d migrations committed, want 1 (aborted %d)",
@@ -191,18 +158,4 @@ func ReshardPause(s Scale) ([]ReshardRow, string, uint64, error) {
 	txt := fmt.Sprintf("Elastic reshard: online 4->5 scale-out under load (%d keys moved)\n",
 		c.Stats.KeysMoved) + table(header, cells)
 	return rows, txt, c.Stats.KeysMoved, nil
-}
-
-// WriteReshardJSON emits the rows as the BENCH_reshard.json document the CI
-// job archives next to BENCH_cluster.json.
-func WriteReshardJSON(w io.Writer, scale string, keysMoved uint64, rows []ReshardRow) error {
-	doc := struct {
-		Figure    string       `json:"figure"`
-		Scale     string       `json:"scale"`
-		KeysMoved uint64       `json:"keys_moved"`
-		Rows      []ReshardRow `json:"rows"`
-	}{Figure: "reshard-pause", Scale: scale, KeysMoved: keysMoved, Rows: rows}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

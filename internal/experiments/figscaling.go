@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"treesls/internal/kernel"
 	"treesls/internal/simclock"
@@ -111,19 +109,6 @@ func measureScalingPoint(r *rig, cores int, serial bool, s Scale) (ScalingRow, e
 	row.CapTreeUs = (capTree / simclock.Duration(row.Rounds)).Micros()
 	row.WalkWorkUs = (walkWork / simclock.Duration(row.Rounds)).Micros()
 	return row, nil
-}
-
-// WriteScalingJSON emits the rows as the BENCH_ckpt.json document the CI
-// bench-regression job archives and gates on.
-func WriteScalingJSON(w io.Writer, scale string, rows []ScalingRow) error {
-	doc := struct {
-		Figure string       `json:"figure"`
-		Scale  string       `json:"scale"`
-		Rows   []ScalingRow `json:"rows"`
-	}{Figure: "walk-scaling", Scale: scale, Rows: rows}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }
 
 // FindScalingRow returns the row for (hybrid, cores, serial), or false.

@@ -71,3 +71,43 @@ func TestScaleHelpers(t *testing.T) {
 		t.Error("factor not applied")
 	}
 }
+
+// TestBenchJSONLayout pins the BENCH_*.json byte layout: field order,
+// two-space indent, a trailing newline, and keys_moved present (even at
+// zero) only on the reshard document.
+func TestBenchJSONLayout(t *testing.T) {
+	var b strings.Builder
+	zero := uint64(0)
+	if err := WriteBenchJSON(&b, BenchDoc{Figure: "reshard-pause", Scale: "quick", KeysMoved: &zero,
+		Rows: []ReshardRow{{Window: "before", Shards: 4, OpsPerSec: 1.5, Requests: 10}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBenchJSON(&b, BenchDoc{Figure: "net-latency", Scale: "full", Rows: []NetRow(nil)}); err != nil {
+		t.Fatal(err)
+	}
+	want := `{
+  "figure": "reshard-pause",
+  "scale": "quick",
+  "keys_moved": 0,
+  "rows": [
+    {
+      "window": "before",
+      "shards": 4,
+      "ops_per_sec": 1.5,
+      "p50_us": 0,
+      "p99_us": 0,
+      "requests": 10,
+      "sim_ms": 0
+    }
+  ]
+}
+{
+  "figure": "net-latency",
+  "scale": "full",
+  "rows": null
+}
+`
+	if got := b.String(); got != want {
+		t.Errorf("BENCH layout changed:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -22,7 +22,7 @@ func TestNetLatencyGate(t *testing.T) {
 	t.Logf("\n%s", txt)
 
 	var buf bytes.Buffer
-	if err := WriteNetJSON(&buf, s.Name, rows); err != nil {
+	if err := WriteBenchJSON(&buf, BenchDoc{Figure: "net-latency", Scale: s.Name, Rows: rows}); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -24,7 +24,7 @@ func TestReplLagGate(t *testing.T) {
 	t.Logf("\n%s", txt)
 
 	var buf bytes.Buffer
-	if err := WriteReplJSON(&buf, s.Name, rows); err != nil {
+	if err := WriteBenchJSON(&buf, BenchDoc{Figure: "repl-lag", Scale: s.Name, Rows: rows}); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

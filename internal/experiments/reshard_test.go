@@ -23,7 +23,7 @@ func TestReshardPauseGate(t *testing.T) {
 	t.Logf("\n%s", txt)
 
 	var buf bytes.Buffer
-	if err := WriteReshardJSON(&buf, s.Name, keysMoved, rows); err != nil {
+	if err := WriteBenchJSON(&buf, BenchDoc{Figure: "reshard-pause", Scale: s.Name, KeysMoved: &keysMoved, Rows: rows}); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

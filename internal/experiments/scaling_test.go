@@ -21,7 +21,7 @@ func TestWalkScalingGate(t *testing.T) {
 	t.Logf("\n%s", txt)
 
 	var buf bytes.Buffer
-	if err := WriteScalingJSON(&buf, s.Name, rows); err != nil {
+	if err := WriteBenchJSON(&buf, BenchDoc{Figure: "walk-scaling", Scale: s.Name, Rows: rows}); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

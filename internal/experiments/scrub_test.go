@@ -20,7 +20,7 @@ func TestScrubOverheadGate(t *testing.T) {
 	t.Logf("\n%s", txt)
 
 	var buf bytes.Buffer
-	if err := WriteScrubJSON(&buf, s.Name, rows); err != nil {
+	if err := WriteBenchJSON(&buf, BenchDoc{Figure: "scrub-overhead", Scale: s.Name, Rows: rows}); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

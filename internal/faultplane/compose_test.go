@@ -106,10 +106,10 @@ func TestComposeCampaign(t *testing.T) {
 	// The overlay's PreCrash was wired through the base's hook list. The
 	// fake base records hooks without invoking them; wiring is the contract
 	// under test here (real worlds run hooks at the crash boundary).
-	if len(bw.preCrash) != 1 {
-		t.Fatalf("pre-crash hooks on base: %d, want 1", len(bw.preCrash))
+	if len(bw.hooks) != 1 {
+		t.Fatalf("pre-crash hooks on base: %d, want 1", len(bw.hooks))
 	}
-	if err := bw.preCrash[0](); err != nil || ow.preCrashes != 1 {
+	if err := bw.RunPreCrash(); err != nil || ow.preCrashes != 1 {
 		t.Fatalf("hook invocation err=%v preCrashes=%d", err, ow.preCrashes)
 	}
 	// PostRound forwards to the base every round.
@@ -166,7 +166,7 @@ func TestComposedWorldForwarding(t *testing.T) {
 		t.Fatalf("Now not forwarded: %v", cw.Now())
 	}
 	cw.AddPreCrash(func() error { return nil })
-	if len(fw.preCrash) != 1 {
+	if len(fw.hooks) != 1 {
 		t.Fatal("AddPreCrash not forwarded to base")
 	}
 	if err := cw.PostRound(nil); err != nil || fw.postCalls != 1 {

@@ -86,6 +86,24 @@ type PreCrashHooker interface {
 	AddPreCrash(fn func() error)
 }
 
+// PreCrashHooks is the PreCrashHooker a world embeds: it keeps the hooks
+// and runs them, in registration order, at the world's crash boundary.
+type PreCrashHooks struct{ hooks []func() error }
+
+// AddPreCrash registers a composition hook run at the crash boundary.
+func (h *PreCrashHooks) AddPreCrash(fn func() error) { h.hooks = append(h.hooks, fn) }
+
+// RunPreCrash runs every registered hook in order, stopping at the first
+// error.
+func (h *PreCrashHooks) RunPreCrash() error {
+	for _, fn := range h.hooks {
+		if err := fn(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Clocked is implemented by worlds that can report simulated time; the
 // engine stamps per-crash trace instants with it.
 type Clocked interface {

@@ -21,8 +21,8 @@ type fakeWorld struct {
 	roundCalls  int
 	postCalls   int
 	finishCalls int
-	preCrash    []func() error
 	drawn       []int64
+	PreCrashHooks
 }
 
 type roundScript struct {
@@ -51,8 +51,6 @@ func (w *fakeWorld) PostRound(rng *rand.Rand) error {
 	w.postCalls++
 	return nil
 }
-
-func (w *fakeWorld) AddPreCrash(fn func() error) { w.preCrash = append(w.preCrash, fn) }
 
 func (w *fakeWorld) Now() simclock.Time { return simclock.Time(42) }
 
@@ -306,4 +304,19 @@ func TestCatchCrash(t *testing.T) {
 		}
 	}()
 	_, _ = CatchCrash(func() error { panic("unrelated") })
+}
+
+func TestPreCrashHooksRunInOrderAndStop(t *testing.T) {
+	var h PreCrashHooks
+	var ran []int
+	boom := errors.New("boom")
+	h.AddPreCrash(func() error { ran = append(ran, 1); return nil })
+	h.AddPreCrash(func() error { ran = append(ran, 2); return boom })
+	h.AddPreCrash(func() error { ran = append(ran, 3); return nil })
+	if err := h.RunPreCrash(); err != boom {
+		t.Fatalf("RunPreCrash = %v, want the second hook's error", err)
+	}
+	if len(ran) != 2 || ran[0] != 1 || ran[1] != 2 {
+		t.Fatalf("hooks ran %v, want [1 2]", ran)
+	}
 }

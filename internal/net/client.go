@@ -1,7 +1,6 @@
 package net
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"treesls/internal/apps/kvstore"
@@ -17,192 +16,69 @@ type FleetConfig struct {
 	Requests int
 	// Window is the per-connection pipeline depth (default 4).
 	Window int
-	// ValueBytes is the SET value size (>= 8; default 64; must fit an
-	// extsync slot in gated mode).
+	// ValueBytes is the SET value size (>= 8; default 64; at most
+	// extsync.MaxPayload in gated mode, where the response echoes it).
 	ValueBytes int
 	// Think is the client pause between an acknowledgement and the next
 	// send it unblocks.
 	Think simclock.Duration
 }
 
-// client is one closed-loop connection. Request i (1-based) writes the
-// connection's counter key to i; the response echoes that value, so an
-// acknowledgement for request i certifies the server durably holds (or
-// held) counter >= i once released through the gate.
-type client struct {
-	id         int
-	key        []byte
-	sent       uint64 // highest request index put on the wire
-	acked      uint64 // highest contiguously acknowledged request index
-	nextSendAt simclock.Time
-}
-
 // Fleet drives closed-loop window-pipelined clients against a kvstore
-// server through the simulated network. All scheduling is deterministic:
-// Step executes exactly one micro-step chosen by simulated-time priority.
+// server through the simulated network: the shared ClientCore with one key
+// (conn%04d) per connection, no route header, and — when every window is
+// blocked behind gated responses — an idle to the next checkpoint. All
+// scheduling is deterministic: Step executes exactly one micro-step chosen
+// by simulated-time priority.
 type Fleet struct {
+	ClientCore
 	net        *Network
 	srv        *kvstore.Server
 	cfg        FleetConfig
-	cl         []*client
 	srvThreads int
-
-	// OnAck, when set, observes every in-order acknowledgement (scenario
-	// digests hang off this).
-	OnAck func(conn int, req uint64, recv simclock.Time)
-
-	// Latencies collects per-request client-observed latency in send
-	// order of acknowledgement.
-	Latencies []simclock.Duration
-	// Violations records client-visible ordering violations (a response
-	// for request i arriving before i-1 was acknowledged). Must stay
-	// empty: the per-connection FIFO property.
-	Violations []string
-	// Retransmits counts requests re-sent after a crash dropped their
-	// frame or their un-released response.
-	Retransmits uint64
-	// DupAcks counts responses for already-acknowledged requests (never
-	// produced by the gated path; a diagnostic for harness bugs).
-	DupAcks uint64
 }
 
 // NewFleet builds the fleet and wires it to the network's receipt hook.
 // Server worker threads are pinned round-robin to cores so request steering
 // stays deterministic under load.
 func NewFleet(n *Network, srv *kvstore.Server, cfg FleetConfig) (*Fleet, error) {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 4
+	cfg, err := cfg.Defaulted(n.Gated())
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 4
-	}
-	if cfg.ValueBytes < 8 {
-		cfg.ValueBytes = 64
-	}
-	if n.Gated() && cfg.ValueBytes > 200 {
-		return nil, fmt.Errorf("net: ValueBytes %d too large for a gated response slot", cfg.ValueBytes)
-	}
-	f := &Fleet{net: n, srv: srv, cfg: cfg}
 	p := n.Machine().Process(srv.Name())
 	if p == nil {
 		return nil, fmt.Errorf("net: server process %q not found", srv.Name())
 	}
-	f.srvThreads = len(p.Threads)
-	f.applyAffinity()
-	for i := 0; i < cfg.Clients; i++ {
-		f.cl = append(f.cl, &client{id: i, key: []byte(fmt.Sprintf("conn%04d", i))})
+	keys := make([][]byte, cfg.Clients)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("conn%04d", i))
 	}
-	n.SetOnReceipt(f.receipt)
+	f := &Fleet{net: n, srv: srv, cfg: cfg, srvThreads: len(p.Threads)}
+	f.ClientCore = NewClientCore(cfg, keys,
+		func(j int) string { return fmt.Sprintf("conn %d", j) },
+		func(j int) (uint64, error) { return PeekCounter(srv, keys[j]) })
+	PinWorkers(n.Machine(), srv.Name())
+	n.SetOnReceipt(f.Receive)
 	if n.Machine().Obs.MetricsOn() {
 		n.Machine().Obs.Metrics.GaugeFunc("net.retransmits", func() int64 { return int64(f.Retransmits) })
 	}
 	return f, nil
 }
 
-// applyAffinity pins server worker threads round-robin to cores. Idempotent
-// and re-applied after restore (the snapshot preserves affinity; this keeps
-// the fleet independent of that detail).
-func (f *Fleet) applyAffinity() {
-	m := f.net.Machine()
-	p := m.Process(f.srv.Name())
-	if p == nil {
-		return
-	}
-	for i, th := range p.Threads {
-		th.Sched.Affinity = i % len(m.Cores)
-	}
-}
-
 // Config returns the fleet's (defaulted) configuration.
 func (f *Fleet) Config() FleetConfig { return f.cfg }
-
-// Acked returns connection conn's highest contiguously acknowledged
-// request index.
-func (f *Fleet) Acked(conn int) uint64 { return f.cl[conn].acked }
-
-// TotalAcked sums acknowledged requests across connections.
-func (f *Fleet) TotalAcked() uint64 {
-	var t uint64
-	for _, c := range f.cl {
-		t += c.acked
-	}
-	return t
-}
-
-// valueFor builds request req's value: the 8-byte big-endian request index
-// padded with a connection-seasoned pattern to ValueBytes.
-func (f *Fleet) valueFor(conn int, req uint64) []byte {
-	v := make([]byte, f.cfg.ValueBytes)
-	binary.BigEndian.PutUint64(v, req)
-	for i := 8; i < len(v); i++ {
-		v[i] = byte(conn + i)
-	}
-	return v
-}
-
-// CounterValue parses the per-connection counter out of a stored value.
-func CounterValue(v []byte) uint64 {
-	if len(v) < 8 {
-		return 0
-	}
-	return binary.BigEndian.Uint64(v)
-}
-
-// receipt is the network's delivery hook: in-order responses advance the
-// window, stale ones count as duplicates, gaps are FIFO violations.
-func (f *Fleet) receipt(r Receipt) {
-	c := f.cl[r.Conn]
-	switch {
-	case r.Req == c.acked+1:
-		c.acked++
-		f.Latencies = append(f.Latencies, r.Receive.Sub(r.Submit))
-		if t := r.Receive.Add(f.cfg.Think); t > c.nextSendAt {
-			c.nextSendAt = t
-		}
-		if f.OnAck != nil {
-			f.OnAck(r.Conn, r.Req, r.Receive)
-		}
-	case r.Req <= c.acked:
-		f.DupAcks++
-	default:
-		f.Violations = append(f.Violations,
-			fmt.Sprintf("conn %d: response for request %d arrived with only %d acknowledged", r.Conn, r.Req, c.acked))
-	}
-}
-
-// nextSender picks the earliest-eligible client (window open, requests
-// remaining), ties broken by connection id.
-func (f *Fleet) nextSender() (*client, bool) {
-	var best *client
-	for _, c := range f.cl {
-		if f.cfg.Requests > 0 && c.sent >= uint64(f.cfg.Requests) {
-			continue
-		}
-		if c.sent-c.acked >= uint64(f.cfg.Window) {
-			continue
-		}
-		if best == nil || c.nextSendAt < best.nextSendAt {
-			best = c
-		}
-	}
-	return best, best != nil
-}
 
 // dispatch runs the server side of one received frame: the kvstore SET on
 // the connection's worker thread, then the response through the gate (or
 // straight out when ungated).
 func (f *Fleet) dispatch(p Packet, ready simclock.Time) error {
-	tid := p.Conn % f.srvThreads
-	val := f.valueFor(p.Conn, p.Req)
-	res, seq, err := f.srv.SetAt(ready, tid, f.cl[p.Conn].key, val)
+	val := f.Value(p.Conn, p.Req)
+	res, seq, err := f.srv.SetAt(ready, p.Conn%f.srvThreads, f.Key(p.Conn), val)
 	if err != nil {
 		return err
 	}
-	if f.net.Gated() {
-		f.net.TrackResponse(seq, p.Conn, p.Req, p.Submit, res.End)
-	} else {
-		f.net.CompleteDirect(p.Conn, p.Req, p.Submit, len(val), res.Core)
-	}
+	f.net.Reply(p, res, seq, len(val))
 	return nil
 }
 
@@ -214,21 +90,20 @@ func (f *Fleet) dispatch(p Packet, ready simclock.Time) error {
 // once every client has received every configured response.
 func (f *Fleet) Step() (bool, error) {
 	arriveAt, haveFrame := f.net.NextArrival()
-	sender, haveSender := f.nextSender()
-	if haveFrame && (!haveSender || arriveAt <= sender.nextSendAt) {
+	j, sendAt, haveSender := f.NextSender(f.cfg.Requests)
+	if haveFrame && (!haveSender || arriveAt <= sendAt) {
 		_, err := f.net.DispatchNext(f.dispatch)
 		return false, err
 	}
 	if haveSender {
-		c := sender
-		c.sent++
-		f.net.SendRequest(c.id, c.sent, len(c.key)+f.cfg.ValueBytes, c.nextSendAt)
+		req, at := f.Send(j)
+		f.net.SendRequest(j, req, f.WireBytes(j), at)
 		return false, nil
 	}
 	// No frames, no open windows: either everything is done, or gated
 	// acknowledgements are parked behind the next commit.
 	if f.outstanding() == 0 {
-		return f.doneAll(), nil
+		return f.DoneAll(f.cfg.Requests), nil
 	}
 	m := f.net.Machine()
 	if next := m.NextCheckpointAt(); next > 0 {
@@ -239,46 +114,8 @@ func (f *Fleet) Step() (bool, error) {
 	return false, nil
 }
 
-func (f *Fleet) outstanding() int {
-	var o int
-	for _, c := range f.cl {
-		o += int(c.sent - c.acked)
-	}
-	return o
-}
-
-func (f *Fleet) doneAll() bool {
-	if f.cfg.Requests <= 0 {
-		return false
-	}
-	for _, c := range f.cl {
-		if c.acked < uint64(f.cfg.Requests) {
-			return false
-		}
-	}
-	return true
-}
-
 // Run drives Step until every client finishes (requires Requests > 0).
-func (f *Fleet) Run() error {
-	if f.cfg.Requests <= 0 {
-		return fmt.Errorf("net: Run needs a bounded FleetConfig.Requests")
-	}
-	limit := f.cfg.Clients*f.cfg.Requests*64 + 16384
-	for i := 0; ; i++ {
-		if i > limit {
-			return fmt.Errorf("net: no progress after %d micro-steps (%d/%d acked)",
-				limit, f.TotalAcked(), f.cfg.Clients*f.cfg.Requests)
-		}
-		done, err := f.Step()
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-	}
-}
+func (f *Fleet) Run() error { return f.Drive(f.cfg.Requests, f.Step) }
 
 // ResyncAfterRestore realigns the fleet with a machine that just crashed
 // and restored. In-flight frames and unreleased responses are gone, so each
@@ -287,39 +124,7 @@ func (f *Fleet) Run() error {
 // idempotent absolute writes, so replay is safe.
 func (f *Fleet) ResyncAfterRestore() {
 	f.net.OnMachineRestore()
-	f.applyAffinity()
 	m := f.net.Machine()
-	rto := m.Now().Add(m.Model.NetRTT)
-	for _, c := range f.cl {
-		f.Retransmits += c.sent - c.acked
-		c.sent = c.acked
-		if rto > c.nextSendAt {
-			c.nextSendAt = rto
-		}
-	}
-}
-
-// CheckJustified asserts the external-synchrony invariant against the
-// restored store: for every connection, the client's highest acknowledged
-// request index must not exceed the counter the restored state holds — an
-// acknowledged-but-unpersisted response is exactly the output commit the
-// gate exists to prevent. Returns one description per violated connection.
-func (f *Fleet) CheckJustified() ([]string, error) {
-	var bad []string
-	for _, c := range f.cl {
-		val, ok, err := f.srv.Peek(c.key)
-		if err != nil {
-			return nil, fmt.Errorf("net: peeking %q: %w", c.key, err)
-		}
-		var counter uint64
-		if ok {
-			counter = CounterValue(val)
-		}
-		if c.acked > counter {
-			bad = append(bad, fmt.Sprintf(
-				"conn %d: client holds an acknowledgement for request %d but restored state justifies only %d",
-				c.id, c.acked, counter))
-		}
-	}
-	return bad, nil
+	PinWorkers(m, f.srv.Name())
+	f.Rewind(m.Now().Add(m.Model.NetRTT), nil)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"treesls/internal/apps/kvstore"
+	"treesls/internal/extsync"
 	"treesls/internal/kernel"
 	"treesls/internal/obs"
 	"treesls/internal/simclock"
@@ -52,6 +53,30 @@ func TestFleetRejectsOversizedGatedValue(t *testing.T) {
 	_ = m
 	if _, err := NewFleet(nw, srv, FleetConfig{ValueBytes: 4096}); err == nil {
 		t.Fatal("NewFleet accepted a value that cannot fit a gated response slot")
+	}
+}
+
+// TestGatedValueAtSlotCapacity: the gated response echoes the value, so a
+// value of exactly extsync.MaxPayload bytes fits one ring slot and every
+// request acknowledges through the ring; one byte more is refused up front.
+func TestGatedValueAtSlotCapacity(t *testing.T) {
+	_, nw, srv, _ := testMachine(t, true, simclock.Millisecond)
+	if _, err := NewFleet(nw, srv, FleetConfig{ValueBytes: extsync.MaxPayload + 1}); err == nil {
+		t.Fatalf("NewFleet accepted a %d-byte gated value", extsync.MaxPayload+1)
+	}
+	fleet, err := NewFleet(nw, srv, FleetConfig{Clients: 3, Requests: 6, Window: 2, ValueBytes: extsync.MaxPayload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fleet.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(3 * 6)
+	if fleet.TotalAcked() != want || nw.Driver.Stats.Delivered != want {
+		t.Errorf("acked %d, released %d, want %d each", fleet.TotalAcked(), nw.Driver.Stats.Delivered, want)
+	}
+	if len(fleet.Violations) != 0 || fleet.DupAcks != 0 {
+		t.Errorf("violations %v, dup acks %d", fleet.Violations, fleet.DupAcks)
 	}
 }
 
