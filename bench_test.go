@@ -16,6 +16,7 @@ import (
 	"treesls/internal/checkpoint"
 	"treesls/internal/experiments"
 	"treesls/internal/mem"
+	"treesls/internal/obs/audit"
 	"treesls/internal/simclock"
 )
 
@@ -298,39 +299,48 @@ func BenchmarkMemFence(b *testing.B) {
 	b.ReportMetric(float64(m.UnflushedLines()), "buffered-lines")
 }
 
-// BenchmarkReplCapture: replication capture and diff of a 1024-page heap in
-// which one page changed since the previous image. Unchanged pages are
-// shared with the previous image rather than copied and compared.
-func BenchmarkReplCapture(b *testing.B) {
+// heapBench boots the 1024-page heap machine the per-checkpoint host
+// benchmarks share: every page written once and checkpointed. write stores
+// v into heap page i.
+func heapBench(b *testing.B) (m *Machine, write func(i, v uint64)) {
 	cfg := DefaultConfig()
 	cfg.CheckpointEvery = 0
-	m := New(cfg)
+	m = New(cfg)
 	p, err := m.NewProcess("heap", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	const pages = 1024
-	va, _, err := p.Mmap(pages, PMODefault)
+	va, _, err := p.Mmap(heapBenchPages, PMODefault)
 	if err != nil {
 		b.Fatal(err)
 	}
-	write := func(i, v uint64) {
+	write = func(i, v uint64) {
 		if _, err := m.Run(p, p.MainThread(), func(e *Env) error {
 			return e.WriteU64(va+i*mem.PageSize, v)
 		}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for i := uint64(0); i < pages; i++ {
+	for i := uint64(0); i < heapBenchPages; i++ {
 		write(i, i+1)
 	}
 	m.TakeCheckpoint()
+	return m, write
+}
+
+const heapBenchPages = 1024
+
+// BenchmarkReplCapture: replication capture and diff of a 1024-page heap in
+// which one page changed since the previous image. Unchanged pages are
+// shared with the previous image rather than copied and compared.
+func BenchmarkReplCapture(b *testing.B) {
+	m, write := heapBench(b)
 	prev := m.Ckpt.CaptureReplImage(m.SwapReadSlot, nil)
 	var puts int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		write(uint64(i)%pages, uint64(i))
+		write(uint64(i)%heapBenchPages, uint64(i))
 		m.TakeCheckpoint()
 		b.StartTimer()
 		img := m.Ckpt.CaptureReplImage(m.SwapReadSlot, prev)
@@ -338,6 +348,36 @@ func BenchmarkReplCapture(b *testing.B) {
 		prev = img
 	}
 	b.ReportMetric(float64(puts), "puts/round")
+}
+
+// BenchmarkBackupDigest: the backup-tree digest the replicator records per
+// checkpoint, over the same 1024-page heap with one page changed per round.
+// Each page enters the digest as its memoized sum, so the cost is per page,
+// not per byte. pages/op counts the page entries the digest folds in.
+func BenchmarkBackupDigest(b *testing.B) {
+	m, write := heapBench(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		write(uint64(i)%heapBenchPages, uint64(i))
+		m.TakeCheckpoint()
+		b.StartTimer()
+		audit.BackupDigest(m.Ckpt, m.Memory)
+	}
+	b.StopTimer()
+	committed := m.Ckpt.CommittedVersion()
+	pages := 0
+	m.Ckpt.ForEachRoot(func(r *caps.ORoot) {
+		if s, ok := r.Backup[0].(*caps.PMOSnap); ok {
+			s.Pages.Walk(func(_ uint64, cp *caps.CkptPage) bool {
+				if cp.Born <= committed {
+					pages++
+				}
+				return true
+			})
+		}
+	})
+	b.ReportMetric(float64(pages), "pages/op")
 }
 
 // BenchmarkPageChecksum: the memoized frame sum on a hit (bytes unchanged

@@ -5,13 +5,16 @@ package mem
 // the host clock only: no simulated cost depends on them, so they can make
 // the simulator faster without moving a single simulated nanosecond.
 //
-// Only code that *establishes* a sum may read the memo (the checkpoint
-// manager's checksumPage and replica refresh, replication capture). Code
-// that *verifies* bytes — restore's source check, the scrubber, the
-// auditor's digests — must hash the bytes afresh, so that a media fault is
-// caught exactly as before; the memo cannot hide rot because InjectRot and
-// InjectPoison bump the generation too. See DESIGN.md, "Host-side
-// memoization".
+// Code that *establishes* a sum reads the memo: the checkpoint manager's
+// checksumPage and replica refresh, replication capture, and the auditor's
+// two-level state digests, which fold each page's Sum instead of its bytes.
+// The memo cannot hide rot from them because every byte mutator —
+// InjectRot, InjectPoison and ADR crash damage included — bumps the
+// generation, and the auditor checks every memo against a fresh hash
+// (StaleSums, its invariant 7) before it computes the digests. Code that
+// *verifies* bytes — restore's source check and the scrubber — hashes the
+// bytes afresh, so a media fault is caught exactly as before. See DESIGN.md,
+// "Host-side memoization".
 
 // FNV-1a-64 parameters (hash/fnv's New64a).
 const (

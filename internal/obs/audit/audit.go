@@ -17,8 +17,15 @@
 //     committed snapshot, with PMO page content read through an independent
 //     reimplementation of the §4.2/§4.3.3 version rules.
 //
-// Digests are 64-bit FNV-1a over a canonical byte encoding; identical seeds
-// must produce identical digests (the determinism regression test relies on
+// Digests are two-level 64-bit FNV-1a. The outer level hashes a canonical
+// byte encoding of the object fields; each resident page enters it not as
+// its 4 KiB of content but as its own FNV-1a-64 sum (the inner level),
+// read from mem's generation-keyed memo (mem.Memory.Sum). A digest therefore
+// costs O(pages), not O(resident bytes). The memo is safe to trust here
+// because every byte mutator — InjectRot, InjectPoison and ADR crash damage
+// included — drops it, and Auditor.Check verifies every memo against a fresh
+// hash (invariant 7) before it computes the digests. Identical seeds must
+// produce identical digests (the determinism regression test relies on
 // byte-for-byte stability).
 package audit
 
@@ -35,15 +42,22 @@ import (
 
 // digest is an FNV-1a accumulator with canonical encoders. Tags separate
 // fields of variable-length encodings so no two distinct states collide by
-// concatenation ambiguity.
-type digest struct{ h uint64 }
+// concatenation ambiguity. sum yields a page's FNV-1a-64 content sum, the
+// inner level of the two-level encoding (mem.Memory.Sum in every digest
+// this package exports).
+type digest struct {
+	h   uint64
+	sum func(mem.PageID) uint64
+}
 
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
 
-func newDigest() *digest { return &digest{h: fnvOffset} }
+func newDigest(sum func(mem.PageID) uint64) *digest {
+	return &digest{h: fnvOffset, sum: sum}
+}
 
 func (d *digest) byte(b byte) {
 	d.h ^= uint64(b)
@@ -75,18 +89,30 @@ func (d *digest) str(s string) {
 
 // Page-slot markers in the canonical encoding.
 const (
-	markContent  = 0 // followed by the page content bytes
+	markContent  = 0 // followed by the page's FNV-1a-64 content sum
 	markSwapped  = 1 // page lives on the swap device
 	markNil      = 2 // slot exists but holds no page
 	markNoSource = 3 // backup entry with no recoverable source
 	markEternal  = 4 // eternal PMO content excluded (RestorableDigest)
 )
 
+// pageLeaf encodes one resident page: markContent, then the page's
+// FNV-1a-64 sum (the value PageDigest computes over its bytes) in place of
+// its 4 KiB.
+func (d *digest) pageLeaf(p mem.PageID) {
+	d.byte(markContent)
+	d.u64(d.sum(p))
+}
+
 // StateDigest hashes the logical state reachable from the runtime capability
-// tree. Reads go through mem.Memory.Data, which is free in simulated time —
+// tree. Page sums come from mem.Memory.Sum, which is free in simulated time —
 // auditing never perturbs lane clocks.
 func StateDigest(tree *caps.Tree, memory *mem.Memory) uint64 {
-	d := newDigest()
+	return stateDigest(tree, memory.Sum)
+}
+
+func stateDigest(tree *caps.Tree, sum func(mem.PageID) uint64) uint64 {
+	d := newDigest(sum)
 	tree.Walk(func(o caps.Object) {
 		d.byte(byte(o.Kind()))
 		d.u64(o.ID())
@@ -139,8 +165,7 @@ func StateDigest(tree *caps.Tree, memory *mem.Memory) uint64 {
 				case s.Page.IsNil():
 					d.byte(markNil)
 				default:
-					d.byte(markContent)
-					d.bytes(memory.Data(s.Page))
+					d.pageLeaf(s.Page)
 				}
 				return true
 			})
@@ -207,7 +232,7 @@ func restoreSource(cp *caps.CkptPage, committed uint64) int {
 // snapshot slot order), so the visit order — and the digest — is
 // deterministic.
 func BackupDigest(m *checkpoint.Manager, memory *mem.Memory) uint64 {
-	return backupDigest(m, memory, true)
+	return backupDigest(m, memory.Sum, true)
 }
 
 // RestorableDigest hashes only the state a restore ROLLS BACK to: eternal
@@ -217,11 +242,11 @@ func BackupDigest(m *checkpoint.Manager, memory *mem.Memory) uint64 {
 // promises to reproduce is covered. The cluster cut protocol announces this
 // digest — it must verify bit-identically after any recovery to the cut.
 func RestorableDigest(m *checkpoint.Manager, memory *mem.Memory) uint64 {
-	return backupDigest(m, memory, false)
+	return backupDigest(m, memory.Sum, false)
 }
 
-func backupDigest(m *checkpoint.Manager, memory *mem.Memory, includeEternal bool) uint64 {
-	d := newDigest()
+func backupDigest(m *checkpoint.Manager, sum func(mem.PageID) uint64, includeEternal bool) uint64 {
+	d := newDigest(sum)
 	committed := m.CommittedVersion()
 	root := m.RootORoot()
 	if root == nil || committed == 0 {
@@ -302,8 +327,7 @@ func backupDigest(m *checkpoint.Manager, memory *mem.Memory, includeEternal bool
 				case -2:
 					d.byte(markNoSource)
 				default:
-					d.byte(markContent)
-					d.bytes(memory.Data(cp.Page[src]))
+					d.pageLeaf(cp.Page[src])
 				}
 				return true
 			})
@@ -341,7 +365,8 @@ func rootID(r *caps.ORoot) uint64 {
 	return r.ObjID
 }
 
-// PageDigest hashes one page's content (helper for tests).
+// PageDigest hashes one page's content: the FNV-1a-64 sum mem memoizes
+// (mem.Memory.Sum) and each digest folds in per resident page.
 func PageDigest(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)

@@ -333,24 +333,36 @@ func TestAuditorCatchesCorruption(t *testing.T) {
 	}
 }
 
-// TestAuditorCatchesStaleMemo: a store that bypasses mem's primitives
-// leaves a memoized frame sum that no longer matches the bytes; the
-// auditor must name that frame.
+// TestAuditorCatchesStaleMemo: a store straight into Memory.Data skips
+// mem's generation bump, so the memoized sum of that committed backup page
+// no longer matches its bytes and the memo-fed digest cannot see the write.
+// Invariant 7 must name the frame in the very Check that computed that
+// digest.
 func TestAuditorCatchesStaleMemo(t *testing.T) {
 	m := newMachine(diffMatrix[0], 17, nil)
 	driveWorkload(t, m, 17, 60)
-	if !m.LastAudit.Ok() {
-		t.Fatalf("clean machine already had violations: %v", m.LastAudit.Violations)
+	pages := committedBackupPages(m)
+	if len(pages) == 0 {
+		t.Fatal("no committed backup page")
 	}
-	victim := mem.PageID{Kind: mem.KindNVM, Frame: 100}
-	m.Memory.WriteRaw(victim, 0, []byte("memoized"))
-	m.Memory.Sum(victim)
+	victim := pages[0]
+	before := m.Auditor.Check(m.Tree, "before")
+	if !before.Ok() {
+		t.Fatalf("clean machine already had violations: %v", before.Violations)
+	}
 	m.Memory.Data(victim)[0] ^= 0xFF // deliberate read-only contract violation
 
 	res := m.Auditor.Check(m.Tree, "stale-memo-test")
+	if res.BackupDigest != before.BackupDigest {
+		t.Fatalf("memo-fed BackupDigest moved (%#x -> %#x); the write did not bypass the memo",
+			before.BackupDigest, res.BackupDigest)
+	}
+	if fresh := audit.FreshBackupDigest(m.Ckpt, m.Memory); fresh == res.BackupDigest {
+		t.Fatal("fresh-hash BackupDigest missed the write")
+	}
 	found := false
 	for _, v := range res.Violations {
-		if containsAll(v, victim.String(), "memoized sum") {
+		if containsAll(v, "stale-memo-test", victim.String(), "memoized sum") {
 			found = true
 		}
 	}
@@ -437,8 +449,9 @@ func TestDigestFullObjectZoo(t *testing.T) {
 }
 
 // TestStateDigestStability pins the digest definition: a fixed tiny machine
-// must produce the same digest forever. If this test breaks, the canonical
-// encoding changed — bump it consciously (it invalidates recorded digests).
+// must produce the same digests forever. If this test breaks, the canonical
+// encoding changed — bump it consciously (it invalidates recorded digests
+// and the inspect golden's cut digests).
 func TestStateDigestStability(t *testing.T) {
 	m := newMachine(diffMatrix[0], 2, nil)
 	p, err := m.NewProcess("app", 1)
@@ -449,29 +462,35 @@ func TestStateDigestStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(p, p.MainThread(), func(e *kernel.Env) error {
-		return e.WriteU64(va, 0x1122334455667788)
-	}); err != nil {
+	// An eternal page separates RestorableDigest from BackupDigest, and a
+	// store after the checkpoint separates StateDigest from both.
+	ring, _, err := p.Mmap(1, caps.PMOEternal)
+	if err != nil {
 		t.Fatal(err)
 	}
+	write := func(at, v uint64) {
+		t.Helper()
+		if _, err := m.Run(p, p.MainThread(), func(e *kernel.Env) error {
+			return e.WriteU64(at, v)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(va, 0x1122334455667788)
+	write(ring, 0x99AABBCCDDEEFF00)
 	m.TakeCheckpoint()
-	d1 := audit.StateDigest(m.Tree, m.Memory)
-	d2 := audit.StateDigest(m.Tree, m.Memory)
-	if d1 != d2 {
-		t.Fatalf("digest not stable within a run: %#x vs %#x", d1, d2)
-	}
-	// Cross-check against an independently built identical machine.
-	m2 := newMachine(diffMatrix[0], 2, nil)
-	p2, _ := m2.NewProcess("app", 1)
-	va2, _, _ := p2.Mmap(2, caps.PMODefault)
-	if _, err := m2.Run(p2, p2.MainThread(), func(e *kernel.Env) error {
-		return e.WriteU64(va2, 0x1122334455667788)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	m2.TakeCheckpoint()
-	if d3 := audit.StateDigest(m2.Tree, m2.Memory); d3 != d1 {
-		t.Errorf("identical machines digest differently: %#x vs %#x", d1, d3)
+	write(va+mem.PageSize, 0x0102030405060708)
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"StateDigest", audit.StateDigest(m.Tree, m.Memory), 0x7aefe3eabb0fc960},
+		{"BackupDigest", audit.BackupDigest(m.Ckpt, m.Memory), 0x328bb99ecbf78446},
+		{"RestorableDigest", audit.RestorableDigest(m.Ckpt, m.Memory), 0x18bf2e52fcfc5df6},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %#x, pinned %#x", c.name, c.got, c.want)
+		}
 	}
 }
 
