@@ -276,7 +276,7 @@ func BenchmarkCrashRestore(b *testing.B) {
 // Host-side microbenchmarks of the simulator's own hot paths (they measure
 // the Go program, not the simulated machine). Run with
 //
-//	go test -run '^$' -bench 'MemFence|ReplCapture|PageChecksum' -benchmem
+//	go test -run '^$' -bench 'MemFence|ADRPageCopy|ReplCapture|PageChecksum|BackupDigest' -benchmem
 
 // BenchmarkMemFence: an ADR write buffer holding 16 Ki dirty lines, with one
 // line stored, flushed and fenced per iteration. The fence visits only the
@@ -297,6 +297,31 @@ func BenchmarkMemFence(b *testing.B) {
 		m.Fence()
 	}
 	b.ReportMetric(float64(m.UnflushedLines()), "buffered-lines")
+}
+
+// BenchmarkADRPageCopy: the persistence of one checkpoint page copy under
+// ADR — CopyPage DRAM→NVM, FlushPage, Fence — per iteration. The write
+// buffer tracks the page's 64 lines as one frame entry with one mask bit
+// per line.
+func BenchmarkADRPageCopy(b *testing.B) {
+	m := mem.New(mem.Config{NVMFrames: 64, DRAMFrames: 1, Persist: mem.ModeADR},
+		simclock.DefaultCostModel())
+	src := m.AllocDRAM()
+	page := make([]byte, mem.PageSize)
+	for i := range page {
+		page[i] = byte(i)
+	}
+	m.WriteAt(src, 0, page)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst := mem.PageID{Kind: mem.KindNVM, Frame: uint32(i % 64)}
+		m.CopyPage(dst, src)
+		m.FlushPage(dst)
+		m.Fence()
+	}
+	if n := m.UnflushedLines(); n != 0 {
+		b.Fatalf("%d lines still buffered", n)
+	}
 }
 
 // heapBench boots the 1024-page heap machine the per-checkpoint host

@@ -160,8 +160,8 @@ func (m *Memory) scrambleLine(k lineKey, h uint64) {
 	fr.touch()
 	line := fr.data[int(k.line)*LineSize : (int(k.line)+1)*LineSize]
 	var sh []byte
-	if wl, ok := m.wb[k]; ok {
-		sh = wl.shadow[:]
+	if s := m.wbOf(k.frame).shadowOf(int(k.line)); s != nil {
+		sh = s[:]
 	}
 	for i := 0; i < LineSize/WordSize; i++ {
 		pat := splitmix64(h+uint64(i)) | 1

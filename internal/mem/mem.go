@@ -76,16 +76,19 @@ type Device struct {
 	frames []*frame
 }
 
-// frame is one materialized 4 KiB frame. Beside the bytes it carries two
+// frame is one materialized 4 KiB frame. Beside the bytes it carries
 // host-side fields that never influence simulated time: a write generation,
-// bumped by every primitive that mutates the bytes, and a memoized
-// FNV-1a-64 sum of the bytes, valid until the next mutation. The bytes are
-// a separate allocation so the header stays in a small size class.
+// bumped by every primitive that mutates the bytes, a memoized FNV-1a-64
+// sum of the bytes, valid until the next mutation, and the slot of its ADR
+// write-buffer state. The bytes are a separate allocation, and the slot an
+// int32 in the header's padding, so the header stays in the 32-byte size
+// class.
 type frame struct {
 	data  *[PageSize]byte
 	gen   uint64
 	sum   uint64
 	sumOK bool
+	wb    int32 // 1 + index of the frame's write-buffer state in Memory.wbf; 0 if none
 }
 
 // touch records a mutation of the frame's bytes.
@@ -124,13 +127,15 @@ type Memory struct {
 
 	dramFree []uint32 // free DRAM frames (LIFO)
 
-	// Relaxed-persistency state (see persist.go). wb is the per-line
-	// write buffer of unfenced NVM stores; it stays empty under eADR.
+	// Relaxed-persistency state (see persist.go). wbf is the write buffer
+	// of unfenced NVM stores, one entry per frame with buffered lines; it
+	// stays empty under eADR.
 	mode      PersistMode
 	crashSeed uint64
 	crashes   uint64 // power failures so far (varies damage across crashes)
-	wb        map[lineKey]*wbLine
-	drain     []lineKey // lines flushed since the last fence (may repeat)
+	wbf       []wbFrame
+	wbLines   int      // buffered lines across wbf
+	drain     []uint32 // frames with lines flushed since the last fence
 
 	// Event-granular crash injection.
 	events         uint64
@@ -209,9 +214,6 @@ func New(cfg Config, model *simclock.CostModel) *Memory {
 		mode:      cfg.Persist,
 		crashSeed: cfg.CrashSeed,
 		media:     cfg.Media,
-	}
-	if m.mode == ModeADR {
-		m.wb = make(map[lineKey]*wbLine)
 	}
 	m.resetDRAMFreeList()
 	return m

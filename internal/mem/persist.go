@@ -9,7 +9,8 @@
 //
 //   - Every store to an NVM frame is tracked at 64-byte cache-line
 //     granularity in a write buffer. When a line is first dirtied, its
-//     current durable content is captured as a shadow.
+//     current durable content is captured as a shadow. A 4 KiB frame has
+//     64 lines, so the buffer keeps one bit per line in a per-frame mask.
 //   - Flush marks lines as written back; Fence makes flushed lines durable
 //     (drops them from the buffer). Both charge the simclock cost model.
 //   - Crash() consults a seeded deterministic RNG for every line still in
@@ -34,6 +35,8 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"treesls/internal/simclock"
 )
@@ -105,18 +108,102 @@ func (e CrashError) Error() string {
 	return fmt.Sprintf("mem: injected power failure at persistence event %d", e.Event)
 }
 
-// lineKey names one NVM cache line.
+// lineKey names one NVM cache line (the key of the media poison map).
 type lineKey struct {
 	frame uint32
 	line  uint16 // line index within the frame: off / LineSize
 }
 
-// wbLine is one dirty line in the write buffer. shadow holds the durable
-// content from before the line was first dirtied; flushed means a clwb has
-// been issued but no fence has drained it yet.
-type wbLine struct {
-	shadow  [LineSize]byte
-	flushed bool
+// wbFrame is the write-buffer state of one NVM frame that has unfenced
+// lines; frame.wb indexes it in Memory.wbf. Bit l of dirty marks line l as
+// buffered; bit l of flushed marks a buffered line whose clwb has been
+// issued but not yet drained by a fence (flushed is a subset of dirty).
+// shadow holds one entry per dirty bit, in ascending line order: the line's
+// durable content from before it was first dirtied. Shadows are kept only
+// for buffered lines, so a frame holding one runtime line costs 64 bytes
+// of shadow, not 4 KiB. queued records that the frame is on the drain list.
+type wbFrame struct {
+	frame   uint32
+	queued  bool
+	dirty   uint64
+	flushed uint64
+	shadow  [][LineSize]byte
+}
+
+// lineMask returns the mask of the lines overlapping bytes [off, off+n),
+// n > 0, clipped to the page.
+func lineMask(off, n int) uint64 {
+	hi := min((off+n-1)/LineSize, PageSize/LineSize-1)
+	return ^uint64(0) >> (63 - hi) &^ (1<<(off/LineSize) - 1)
+}
+
+// shadowOf returns the shadow of line l, or nil when l is not buffered (or
+// w is nil).
+func (w *wbFrame) shadowOf(l int) *[LineSize]byte {
+	if w == nil || w.dirty>>l&1 == 0 {
+		return nil
+	}
+	return &w.shadow[bits.OnesCount64(w.dirty&(1<<l-1))]
+}
+
+// addShadows buffers the lines in add, none of them dirty yet, capturing
+// their current content from d as shadows. It merges from the top down
+// inside the grown slice, so shadows below the lowest new line stay put.
+func (w *wbFrame) addShadows(d *[PageSize]byte, add uint64) {
+	all := w.dirty | add
+	i := len(w.shadow) - 1         // last old entry not yet placed
+	j := bits.OnesCount64(all) - 1 // slot being filled
+	w.shadow = slices.Grow(w.shadow, j-i)[:j+1]
+	for ; j > i; j-- {
+		l := 63 - bits.LeadingZeros64(all)
+		all &^= 1 << l
+		if add>>l&1 != 0 {
+			w.shadow[j] = [LineSize]byte(d[l*LineSize : (l+1)*LineSize])
+		} else {
+			w.shadow[j] = w.shadow[i]
+			i--
+		}
+	}
+	w.dirty |= add
+}
+
+// retire drops the lines in ret, a subset of dirty, and their shadows.
+func (w *wbFrame) retire(ret uint64) {
+	j := 0
+	for i, b := 0, w.dirty; b != 0; i, b = i+1, b&(b-1) {
+		if ret&b&-b == 0 {
+			w.shadow[j] = w.shadow[i]
+			j++
+		}
+	}
+	w.shadow = w.shadow[:j]
+	w.dirty &^= ret
+}
+
+// wbOf returns the write-buffer state of NVM frame f, or nil when none of
+// its lines is buffered. It never materializes the frame: which frames are
+// materialized decides where crash-time media faults land.
+func (m *Memory) wbOf(f uint32) *wbFrame {
+	if int(f) >= len(m.nvm.frames) {
+		return nil
+	}
+	if fr := m.nvm.frames[f]; fr != nil && fr.wb != 0 {
+		return &m.wbf[fr.wb-1]
+	}
+	return nil
+}
+
+// releaseWB drops the write-buffer state of frame fr once it has no
+// buffered line, moving the last entry of wbf into its slot.
+func (m *Memory) releaseWB(fr *frame) {
+	i, last := fr.wb-1, len(m.wbf)-1
+	if int(i) != last {
+		m.wbf[i] = m.wbf[last]
+		m.nvm.frames[m.wbf[i].frame].wb = i + 1
+	}
+	m.wbf[last] = wbFrame{}
+	m.wbf = m.wbf[:last]
+	fr.wb = 0
 }
 
 // Mode returns the configured persistence model.
@@ -124,8 +211,9 @@ func (m *Memory) Mode() PersistMode { return m.mode }
 
 // UnflushedLines reports how many NVM lines are currently at risk: every
 // line still in the write buffer, dirty or flushed-but-unfenced (a flush
-// alone makes nothing durable). Always 0 under eADR.
-func (m *Memory) UnflushedLines() int { return len(m.wb) }
+// alone makes nothing durable). Always 0 under eADR. The count is kept up
+// to date by every buffer operation, so reading it walks nothing.
+func (m *Memory) UnflushedLines() int { return m.wbLines }
 
 // track records that bytes [off, off+n) of page p are being overwritten,
 // capturing pre-write shadows for newly dirtied lines. Must be called
@@ -134,19 +222,20 @@ func (m *Memory) track(p PageID, off, n int) {
 	if m.mode != ModeADR || p.Kind != KindNVM || n <= 0 {
 		return
 	}
-	d := m.nvm.frame(p.Frame).data
-	for l := off / LineSize; l <= (off+n-1)/LineSize; l++ {
-		k := lineKey{frame: p.Frame, line: uint16(l)}
-		if wl, ok := m.wb[k]; ok {
-			// Re-dirtying a flushed-but-unfenced line makes it
-			// volatile again; the shadow (last durable content)
-			// is unchanged because nothing was fenced since.
-			wl.flushed = false
-			continue
-		}
-		wl := &wbLine{}
-		copy(wl.shadow[:], d[l*LineSize:(l+1)*LineSize])
-		m.wb[k] = wl
+	fr := m.nvm.frame(p.Frame)
+	if fr.wb == 0 {
+		m.wbf = append(m.wbf, wbFrame{frame: p.Frame})
+		fr.wb = int32(len(m.wbf))
+	}
+	w := &m.wbf[fr.wb-1]
+	mask := lineMask(off, n)
+	// Re-dirtying a flushed-but-unfenced line makes it volatile again;
+	// its shadow (last durable content) is unchanged because nothing was
+	// fenced since.
+	w.flushed &^= mask
+	if add := mask &^ w.dirty; add != 0 {
+		w.addShadows(fr.data, add)
+		m.wbLines += bits.OnesCount64(add)
 	}
 }
 
@@ -196,12 +285,14 @@ func (m *Memory) Flush(p PageID, off, n int) simclock.Duration {
 		return 0
 	}
 	lines := simclock.Duration(0)
-	for l := off / LineSize; l <= (off+n-1)/LineSize; l++ {
-		k := lineKey{frame: p.Frame, line: uint16(l)}
-		if wl, ok := m.wb[k]; ok && !wl.flushed {
-			wl.flushed = true
-			m.drain = append(m.drain, k)
-			lines++
+	if w := m.wbOf(p.Frame); w != nil {
+		if newly := lineMask(off, n) & w.dirty &^ w.flushed; newly != 0 {
+			w.flushed |= newly
+			if !w.queued {
+				w.queued = true
+				m.drain = append(m.drain, p.Frame)
+			}
+			lines = simclock.Duration(bits.OnesCount64(newly))
 		}
 	}
 	m.Stats.Flushes++
@@ -218,10 +309,11 @@ func (m *Memory) Flush(p PageID, off, n int) simclock.Duration {
 func (m *Memory) FlushPage(p PageID) simclock.Duration { return m.Flush(p, 0, PageSize) }
 
 // Fence drains all flushed lines to durability (sfence) and returns the
-// simulated cost. Free no-op under eADR. Only the lines Flush queued since
-// the last fence are visited, so the host cost is O(lines flushed), not
-// O(write buffer); a queued line re-dirtied after its flush is no longer
-// flushed and stays in the buffer, and a line queued twice is retired once.
+// simulated cost. Free no-op under eADR. Only the frames Flush queued since
+// the last fence are visited, each once, and each retires its flushed lines
+// with one mask operation, so the host cost is O(frames flushed), not
+// O(write buffer). A line re-dirtied after its flush is no longer flushed
+// and stays in the buffer.
 func (m *Memory) Fence() simclock.Duration {
 	if m.mode != ModeADR {
 		return 0
@@ -230,10 +322,16 @@ func (m *Memory) Fence() simclock.Duration {
 	// The crash event fires before the drain: a power failure at the
 	// fence persists nothing that the fence was about to retire.
 	m.crashEvent()
-	for _, k := range m.drain {
-		if wl, ok := m.wb[k]; ok && wl.flushed {
-			delete(m.wb, k)
+	for _, f := range m.drain {
+		fr := m.nvm.frames[f]
+		w := &m.wbf[fr.wb-1]
+		m.wbLines -= bits.OnesCount64(w.flushed)
+		if w.flushed == w.dirty {
+			m.releaseWB(fr)
+			continue
 		}
+		w.retire(w.flushed)
+		w.flushed, w.queued = 0, false
 	}
 	m.drain = m.drain[:0]
 	return m.model.SFence
@@ -303,15 +401,16 @@ func (m *Memory) PersistAtomic(p PageID, off int, data []byte) simclock.Duration
 	}
 	// The published bytes are durable: fold them into the shadows of any
 	// lines still in the write buffer so a later drop keeps them.
+	w := m.wbOf(p.Frame)
 	for l := off / LineSize; l <= (off+len(data)-1)/LineSize; l++ {
-		wl, ok := m.wb[lineKey{frame: p.Frame, line: uint16(l)}]
-		if !ok {
+		sh := w.shadowOf(l)
+		if sh == nil {
 			continue
 		}
 		lo := l * LineSize
 		hi := lo + LineSize
 		s, e := max(off, lo), min(off+len(data), hi)
-		copy(wl.shadow[s-lo:e-lo], d[s:e])
+		copy(sh[s-lo:e-lo], d[s:e])
 	}
 	lines := simclock.Duration((len(data) + LineSize - 1) / LineSize)
 	if lines == 0 {
@@ -322,7 +421,7 @@ func (m *Memory) PersistAtomic(p PageID, off int, data []byte) simclock.Duration
 
 // splitmix64 is the standard stateless mixer; the crash-damage RNG hashes
 // (seed, crash ordinal, line identity) through it so damage is fully
-// deterministic and independent of map iteration order.
+// deterministic and independent of the order lines are visited in.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -333,35 +432,44 @@ func splitmix64(x uint64) uint64 {
 // applyCrashDamage resolves the write buffer at power failure: every
 // still-buffered line either made it out of the cache in time, is dropped
 // whole, or is torn word-by-word. Lines are disjoint, so application
-// order cannot matter; the per-line hash keys on identity, not order.
+// order cannot matter; the per-line hash keys on identity, not on the
+// order frames entered the buffer.
 func (m *Memory) applyCrashDamage() {
-	for k, wl := range m.wb {
-		m.Stats.CrashLinesAtRisk++
-		fr := m.nvm.frame(k.frame)
-		line := fr.data[int(k.line)*LineSize : (int(k.line)+1)*LineSize]
-		h := splitmix64(m.crashSeed ^ splitmix64(uint64(m.crashes)<<48|uint64(k.frame)<<16|uint64(k.line)))
-		switch {
-		case h%100 < 25:
-			// The line happened to be written back in time.
-		case h%100 < 70:
-			// Dropped: the cache line never reached the DIMM.
-			copy(line, wl.shadow[:])
-			fr.touch()
-			m.Stats.CrashLinesDropped++
-		default:
-			// Torn: each aligned 8-byte word independently made it
-			// or reverted (word stores are atomic on the bus).
-			w := splitmix64(h)
-			for i := 0; i < LineSize/WordSize; i++ {
-				if w>>(uint(i))&1 == 0 {
-					copy(line[i*WordSize:(i+1)*WordSize], wl.shadow[i*WordSize:(i+1)*WordSize])
+	for k := range m.wbf {
+		w := &m.wbf[k]
+		fr := m.nvm.frames[w.frame]
+		for s, b := 0, w.dirty; b != 0; s, b = s+1, b&(b-1) {
+			l := bits.TrailingZeros64(b)
+			sh := &w.shadow[s]
+			m.Stats.CrashLinesAtRisk++
+			line := fr.data[l*LineSize : (l+1)*LineSize]
+			h := splitmix64(m.crashSeed ^ splitmix64(uint64(m.crashes)<<48|uint64(w.frame)<<16|uint64(l)))
+			switch {
+			case h%100 < 25:
+				// The line happened to be written back in time.
+			case h%100 < 70:
+				// Dropped: the cache line never reached the DIMM.
+				copy(line, sh[:])
+				fr.touch()
+				m.Stats.CrashLinesDropped++
+			default:
+				// Torn: each aligned 8-byte word independently made it
+				// or reverted (word stores are atomic on the bus).
+				keep := splitmix64(h)
+				for i := 0; i < LineSize/WordSize; i++ {
+					if keep>>(uint(i))&1 == 0 {
+						copy(line[i*WordSize:(i+1)*WordSize], sh[i*WordSize:(i+1)*WordSize])
+					}
 				}
+				fr.touch()
+				m.Stats.CrashLinesTorn++
 			}
-			fr.touch()
-			m.Stats.CrashLinesTorn++
 		}
+		fr.wb = 0
 	}
-	clear(m.wb)
+	clear(m.wbf)
+	m.wbf = m.wbf[:0]
+	m.wbLines = 0
 	m.drain = m.drain[:0]
 	m.crashes++
 }

@@ -273,7 +273,7 @@ func TestFenceRetiresOnlyFlushedLines(t *testing.T) {
 		t.Fatalf("UnflushedLines = %d after the fence, want 64", n)
 	}
 	for l := 0; l < 2; l++ {
-		if _, ok := m.wb[lineKey{frame: small.Frame, line: uint16(l)}]; ok {
+		if m.wbOf(small.Frame).shadowOf(l) != nil {
 			t.Errorf("flushed line %d of %v still buffered", l, small)
 		}
 	}
@@ -295,14 +295,14 @@ func TestRedirtiedLineStaysAtRisk(t *testing.T) {
 	if n := m.UnflushedLines(); n != 1 {
 		t.Fatalf("UnflushedLines = %d, want the re-dirtied line still at risk", n)
 	}
-	if wl := m.wb[lineKey{frame: p.Frame}]; wl == nil || wl.flushed {
-		t.Fatalf("re-dirtied line: %+v, want buffered and unflushed", wl)
+	if w := m.wbOf(p.Frame); w.shadowOf(0) == nil || w.flushed&1 != 0 {
+		t.Fatalf("re-dirtied line: %+v, want buffered and unflushed", w)
 	}
 }
 
 // TestDuplicateDrainEntriesHarmless: a line flushed, re-dirtied and flushed
-// again is queued twice; one fence retires it once and the next fence finds
-// nothing to do.
+// again is flushed twice but its frame is queued once; one fence retires it
+// and the next fence finds nothing to do.
 func TestDuplicateDrainEntriesHarmless(t *testing.T) {
 	m := newADRMemory(1)
 	p := PageID{Kind: KindNVM, Frame: 9}
@@ -310,8 +310,8 @@ func TestDuplicateDrainEntriesHarmless(t *testing.T) {
 	m.Flush(p, 0, 3)
 	m.WriteAt(p, 0, []byte("two"))
 	m.Flush(p, 0, 3)
-	if len(m.drain) != 2 {
-		t.Fatalf("drain list = %d entries, want the line queued twice", len(m.drain))
+	if len(m.drain) != 1 {
+		t.Fatalf("drain list = %d entries, want the frame queued once", len(m.drain))
 	}
 	m.Fence()
 	if n := m.UnflushedLines(); n != 0 {
@@ -338,8 +338,8 @@ func TestCrashClearsDrainList(t *testing.T) {
 	m.WriteAt(p, 0, bytes.Repeat([]byte{3}, PageSize))
 	m.FlushPage(p)
 	m.Crash()
-	if len(m.drain) != 0 || m.UnflushedLines() != 0 {
-		t.Fatalf("after the crash: drain %d, buffered %d", len(m.drain), m.UnflushedLines())
+	if len(m.drain) != 0 || m.UnflushedLines() != 0 || len(m.wbf) != 0 || m.wbOf(p.Frame) != nil {
+		t.Fatalf("after the crash: drain %d, buffered %d, frames %d", len(m.drain), m.UnflushedLines(), len(m.wbf))
 	}
 	if m.Stats.CrashLinesAtRisk != PageSize/LineSize {
 		t.Fatalf("CrashLinesAtRisk = %d, want every flushed-but-unfenced line", m.Stats.CrashLinesAtRisk)
