@@ -19,6 +19,7 @@ import (
 
 	"treesls/internal/crashfuzz"
 	"treesls/internal/experiments"
+	"treesls/internal/faultplane"
 	"treesls/internal/mem"
 	"treesls/internal/obs"
 )
@@ -139,10 +140,8 @@ func mediaCampaign(s experiments.Scale, crashFaults, scrubEvery int) (string, er
 		name     string
 		disabled bool
 	}{{"checksums on", false}, {"checksums OFF (baseline)", true}} {
-		res, err := crashfuzz.RunMedia(crashfuzz.MediaConfig{
+		res, err := crashfuzz.RunMedia(faultplane.Spec{Seeds: seeds, RoundsPerSeed: injections}, crashfuzz.MediaConfig{
 			Mode:               mem.ModeADR,
-			Seeds:              seeds,
-			InjectionsPerSeed:  injections,
 			CrashFaults:        crashFaults,
 			CrashDuringRestore: true,
 			ScrubEveryN:        scrubEvery,
@@ -175,9 +174,8 @@ func composedCampaigns(s experiments.Scale) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Composed fault-plane campaigns (extension; cross-domain): %d seeds each\n", len(seeds))
 
-	rres, rm, err := crashfuzz.RunMediaDuringReshard(crashfuzz.ReshardConfig{
-		Mode: mem.ModeEADR, Seeds: seeds, Replicas: 2,
-	}, 14)
+	rres, rm, err := crashfuzz.RunMediaDuringReshard(faultplane.Spec{Seeds: seeds},
+		crashfuzz.ReshardConfig{Mode: mem.ModeEADR, Replicas: 2}, 14)
 	if err != nil {
 		return "", fmt.Errorf("media x reshard: %w", err)
 	}
@@ -185,18 +183,16 @@ func composedCampaigns(s experiments.Scale) (string, error) {
 		rres.CrashesFired, rm.RotInjected, rm.ReplicaRepairs, rm.ScrubRepairs,
 		rres.RolledBack, rres.RolledForward)
 
-	cres, cp, err := crashfuzz.RunReplUnderCluster(crashfuzz.ClusterConfig{
-		Mode: mem.ModeEADR, Seeds: seeds, CrashesPerSeed: 24,
-	})
+	cres, cp, err := crashfuzz.RunReplUnderCluster(faultplane.Spec{Seeds: seeds, RoundsPerSeed: 24},
+		crashfuzz.ClusterConfig{Mode: mem.ModeEADR})
 	if err != nil {
 		return "", fmt.Errorf("repl x cluster: %w", err)
 	}
 	fmt.Fprintf(&b, "  repl x cluster       crashes=%d crashProbes=%d oraclePromotions=%d noAckedRefusals=%d\n",
 		cres.CrashesFired, cp.CrashProbes, cp.OracleFailovers, cp.NoAckedAtProbe)
 
-	pres, pm, err := crashfuzz.RunMediaUnderRepl(crashfuzz.ReplConfig{
-		Mode: mem.ModeEADR, Seeds: seeds, Replicas: 2,
-	}, 12)
+	pres, pm, err := crashfuzz.RunMediaUnderRepl(faultplane.Spec{Seeds: seeds},
+		crashfuzz.ReplConfig{Mode: mem.ModeEADR, Replicas: 2}, 12)
 	if err != nil {
 		return "", fmt.Errorf("media x repl: %w", err)
 	}

@@ -16,6 +16,7 @@ import (
 	"treesls/internal/cluster"
 	"treesls/internal/crashfuzz"
 	"treesls/internal/extsync"
+	"treesls/internal/faultplane"
 	"treesls/internal/kernel"
 	"treesls/internal/mem"
 	"treesls/internal/obs"
@@ -319,27 +320,24 @@ func composedDemo(name string, mode mem.PersistMode, seed uint64) {
 	switch name {
 	case "media-reshard":
 		fmt.Printf("▸ composed campaign: silent media rot planted during an elastic reshard (seed %d)\n", seed)
-		res, mres, err := crashfuzz.RunMediaDuringReshard(crashfuzz.ReshardConfig{
-			Mode: mode, Seeds: seeds, Replicas: 2,
-		}, 14)
+		res, mres, err := crashfuzz.RunMediaDuringReshard(faultplane.Spec{Seeds: seeds},
+			crashfuzz.ReshardConfig{Mode: mode, Replicas: 2}, 14)
 		check(err)
 		fmt.Printf("▸ %d crashes fired, %d rot faults planted in restore-source slots\n", res.CrashesFired, mres.RotInjected)
 		fmt.Printf("▸ %d replica repairs + %d scrub repairs; %d epochs rolled back whole, %d rolled forward\n",
 			mres.ReplicaRepairs, mres.ScrubRepairs, res.RolledBack, res.RolledForward)
 	case "repl-cluster":
 		fmt.Printf("▸ composed campaign: hot-standby failover probed under cluster crashes (seed %d)\n", seed)
-		res, pres, err := crashfuzz.RunReplUnderCluster(crashfuzz.ClusterConfig{
-			Mode: mode, Seeds: seeds, CrashesPerSeed: 24,
-		})
+		res, pres, err := crashfuzz.RunReplUnderCluster(faultplane.Spec{Seeds: seeds, RoundsPerSeed: 24},
+			crashfuzz.ClusterConfig{Mode: mode})
 		check(err)
 		fmt.Printf("▸ %d crashes fired, %d standby promotions probed at the crash instant\n", res.CrashesFired, pres.CrashProbes)
 		fmt.Printf("▸ %d oracle promotions held digest-exact; %d refusals with nothing acknowledged\n",
 			pres.OracleFailovers, pres.NoAckedAtProbe)
 	case "media-repl":
 		fmt.Printf("▸ composed campaign: silent media rot under hot-standby replication (seed %d)\n", seed)
-		res, mres, err := crashfuzz.RunMediaUnderRepl(crashfuzz.ReplConfig{
-			Mode: mode, Seeds: seeds, Replicas: 2,
-		}, 12)
+		res, mres, err := crashfuzz.RunMediaUnderRepl(faultplane.Spec{Seeds: seeds},
+			crashfuzz.ReplConfig{Mode: mode, Replicas: 2}, 12)
 		check(err)
 		fmt.Printf("▸ %d crashes fired, %d rot faults planted; %d failovers probed while the primary was down\n",
 			res.CrashesFired, mres.RotInjected, res.Failovers)

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"treesls/internal/faultplane"
-	"treesls/internal/mem"
 )
 
 // OracleSet names one campaign domain and its oracle registry in run order.
@@ -24,64 +23,25 @@ type OracleSet struct {
 // legacy domains and the three composed ones — and reports each registry's
 // oracle names in registration order.
 func OracleCatalog() ([]OracleSet, error) {
-	type entry struct {
+	media := &mediaOverlay{faultsPerVictim: 1, res: &MediaOverlayResult{}}
+	entries := []struct {
 		campaign string
 		domain   faultplane.Domain
-	}
-	var (
-		crashRes   Result
-		netRes     NetResult
-		mediaRes   MediaResult
-		replRes    ReplResult
-		clusterRes ClusterResult
-		reshardRes ReshardResult
-
-		mRes  MediaOverlayResult
-		pRes  ReplProbeResult
-		cRes  ClusterResult
-		rRes  ReshardResult
-		rpRes ReplResult
-	)
-	crashCfg := Config{Mode: mem.ModeEADR, Seeds: []uint64{1}}
-	crashCfg.fill()
-	netCfg := NetConfig{Mode: mem.ModeEADR, Seeds: []uint64{1}}
-	netCfg.fill()
-	mediaCfg := MediaConfig{Mode: mem.ModeEADR, Seeds: []uint64{1}}
-	mediaCfg.fill()
-	replCfg := ReplConfig{Mode: mem.ModeEADR, Seeds: []uint64{1}}
-	replCfg.fill()
-	clusterCfg := ClusterConfig{Mode: mem.ModeEADR, Seeds: []uint64{1}}
-	clusterCfg.fill()
-	reshardCfg := ReshardConfig{Mode: mem.ModeEADR, Seeds: []uint64{1}}
-	reshardCfg.fill()
-	replClusterCfg := ClusterConfig{Mode: mem.ModeEADR, Seeds: []uint64{1}, Replicate: true}
-	replClusterCfg.fill()
-	mediaReplCfg := ReplConfig{Mode: mem.ModeEADR, Seeds: []uint64{1}, Replicas: 2}
-	mediaReplCfg.fill()
-	mediaReshardCfg := ReshardConfig{Mode: mem.ModeEADR, Seeds: []uint64{1}, Replicas: 2}
-	mediaReshardCfg.fill()
-
-	entries := []entry{
-		{"crash", &crashDomain{cfg: crashCfg, res: &crashRes}},
-		{"net", &netDomain{cfg: netCfg, res: &netRes}},
-		{"media", &mediaDomain{cfg: mediaCfg, res: &mediaRes}},
-		{"repl", &replDomain{cfg: replCfg, res: &replRes}},
-		{"cluster", &clusterDomain{cfg: clusterCfg, res: &clusterRes}},
-		{"reshard", &reshardDomain{cfg: reshardCfg, res: &reshardRes}},
-		{"media x reshard", faultplane.Compose(
-			&reshardDomain{cfg: mediaReshardCfg, res: &rRes},
-			&mediaOverlay{faultsPerVictim: 1, res: &mRes})},
-		{"repl x cluster", faultplane.Compose(
-			&clusterDomain{cfg: replClusterCfg, res: &cRes},
-			&replOverlay{res: &pRes})},
-		{"media x repl", faultplane.Compose(
-			&replDomain{cfg: mediaReplCfg, res: &rpRes},
-			&mediaOverlay{faultsPerVictim: 1, res: &mRes})},
+	}{
+		{"crash", Config{}.domain(nil, &Result{})},
+		{"net", NetConfig{}.domain(&NetResult{})},
+		{"media", MediaConfig{}.domain(&MediaResult{})},
+		{"repl", ReplConfig{}.domain(&ReplResult{})},
+		{"cluster", ClusterConfig{}.domain(&ClusterResult{})},
+		{"reshard", ReshardConfig{}.domain(&ReshardResult{})},
+		{"media x reshard", faultplane.Compose(ReshardConfig{Replicas: 2}.domain(&ReshardResult{}), media)},
+		{"repl x cluster", faultplane.Compose(ClusterConfig{Replicate: true}.domain(&ClusterResult{}),
+			&replOverlay{res: &ReplProbeResult{}})},
+		{"media x repl", faultplane.Compose(ReplConfig{Replicas: 2}.domain(&ReplResult{}), media)},
 	}
 	out := make([]OracleSet, 0, len(entries))
 	for _, e := range entries {
-		rng := faultplane.Stream(1, e.domain.StreamLabel())
-		w, err := e.domain.Build(1, rng)
+		w, err := e.domain.Build(1, faultplane.Stream(1, e.domain.StreamLabel()))
 		if err != nil {
 			return nil, fmt.Errorf("catalog: building %s world: %w", e.campaign, err)
 		}

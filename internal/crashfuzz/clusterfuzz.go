@@ -23,20 +23,12 @@ import (
 	"treesls/internal/simclock"
 )
 
-// ClusterConfig parameterizes a cluster crash campaign.
+// ClusterConfig holds the cluster domain's knobs.
 type ClusterConfig struct {
 	// Mode is the persistence model of every shard.
 	Mode mem.PersistMode
-	// Seeds are the cluster/damage seeds; each seed gets its own cluster.
-	Seeds []uint64
 	// Shards is the cluster size (default 2).
 	Shards int
-	// CrashesPerSeed is how many injections to attempt per seed (default
-	// 24, below the shared default: every cluster round boots Shards
-	// whole machines through an up-to-800-micro-step window, so the
-	// shared 40 would roughly double the campaign's CI cost for coverage
-	// the target/boundary rotation already reaches by 24).
-	CrashesPerSeed int
 	// EventWindow bounds the random event countdown (default 40: cluster
 	// events — cut-protocol micro-actions — are far sparser than NVM
 	// persistence events, and a 96-event window would routinely outlast
@@ -62,12 +54,16 @@ type ClusterConfig struct {
 	Ungated bool
 }
 
+// clusterRounds is the cluster domain's default rounds per seed, below the
+// shared default: every cluster round boots Shards whole machines through
+// an up-to-800-micro-step window, so the shared 40 would roughly double the
+// campaign's CI cost for coverage the target/boundary rotation already
+// reaches by 24.
+const clusterRounds = 24
+
 func (c *ClusterConfig) fill() {
 	if c.Shards == 0 {
 		c.Shards = 2
-	}
-	if c.CrashesPerSeed == 0 {
-		c.CrashesPerSeed = 24
 	}
 	if c.EventWindow == 0 {
 		c.EventWindow = 40
@@ -130,28 +126,19 @@ type clusterFuzzer struct {
 	faultplane.PreCrashHooks
 }
 
-// clusterDomain adapts the cluster campaign to the fault-plane engine.
-type clusterDomain struct {
-	cfg ClusterConfig
-	res *ClusterResult
-}
-
-func (d *clusterDomain) Name() string        { return "cluster" }
-func (d *clusterDomain) StreamLabel() string { return "" }
-
-func (d *clusterDomain) Build(seed uint64, rng *rand.Rand) (faultplane.World, error) {
-	return newClusterFuzzer(d.cfg, seed, rng, d.res)
-}
-
-// RunCluster executes the campaign.
-func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
+// domain is the cluster campaign's fault-plane domain.
+func (cfg ClusterConfig) domain(res *ClusterResult) domain {
 	cfg.fill()
+	return domain{"cluster", "", func(seed uint64, rng *rand.Rand) (faultplane.World, error) {
+		return newClusterFuzzer(cfg, seed, rng, res)
+	}}
+}
+
+// RunCluster executes the campaign (spec.RoundsPerSeed defaults to 24).
+func RunCluster(spec faultplane.Spec, cfg ClusterConfig) (ClusterResult, error) {
 	var res ClusterResult
-	st, err := faultplane.RunCampaign(
-		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.CrashesPerSeed},
-		&clusterDomain{cfg: cfg, res: &res})
-	res.CrashesFired = st.Injections
-	res.Recoveries = st.Recoveries
+	st, err := runDomain(spec, clusterRounds, cfg.domain(&res))
+	res.CrashesFired, res.Recoveries = st.Injections, st.Recoveries
 	return res, err
 }
 
@@ -187,10 +174,6 @@ func clusterTarget(target, shards int) int {
 	default:
 		return (target - 2) % shards
 	}
-}
-
-func (f *clusterFuzzer) pickTarget() int {
-	return f.rng.Intn(2 + f.c.Config().Shards)
 }
 
 func newClusterFuzzer(cfg ClusterConfig, seed uint64, rng *rand.Rand, res *ClusterResult) (*clusterFuzzer, error) {
@@ -230,39 +213,10 @@ func (f *clusterFuzzer) registerOracles() {
 		return f.c.VerifyCut(f.c.Coord.Newest())
 	})
 	f.oracles.Register("released-covered", f.c.ReleasedCovered)
-	f.oracles.Register("extsync-justified", func() error {
-		bad, err := f.fleet.CheckJustified()
-		if err != nil {
-			return err
-		}
-		if len(bad) > 0 {
-			return fmt.Errorf("released-but-uncovered response: %s", bad[0])
-		}
-		return nil
-	})
-	f.oracles.Register("client-fifo", func() error {
-		if n := len(f.fleet.Violations); n > 0 {
-			return fmt.Errorf("client FIFO violation: %s", f.fleet.Violations[0])
-		}
-		return nil
-	})
-	f.oracles.Register("dup-acks", func() error {
-		if f.fleet.DupAcks > 0 {
-			return fmt.Errorf("%d duplicate acknowledgements after recovery", f.fleet.DupAcks)
-		}
-		return nil
-	})
-	f.oracles.Register("shard-audit", func() error {
-		for i, s := range f.c.Shards {
-			if s.M.Auditor != nil {
-				if la := s.M.LastAudit; !la.Ok() {
-					return fmt.Errorf("shard %d audit at %s: %d violation(s), first: %s",
-						i, la.Where, len(la.Violations), la.Violations[0])
-				}
-			}
-		}
-		return nil
-	})
+	f.oracles.Register("extsync-justified", justified(&f.fleet.ClientCore))
+	f.oracles.Register("client-fifo", clientFIFO(&f.fleet.ClientCore))
+	f.oracles.Register("dup-acks", noDupAcks(&f.fleet.ClientCore))
+	f.oracles.Register("shard-audit", shardAudit(f.c))
 }
 
 // Oracles returns the cluster domain's registry.
@@ -278,7 +232,8 @@ func (f *clusterFuzzer) Cluster() *cluster.Cluster { return f.c }
 func (f *clusterFuzzer) Victims() []int { return f.lastVictims }
 
 // classify records which protocol boundary the crash landed on.
-func (f *clusterFuzzer) classify(res *ClusterResult) {
+func (f *clusterFuzzer) classify() {
+	res := f.res
 	switch f.c.CurrentPhase() {
 	case cluster.PhaseAnnounce, cluster.PhasePublish, cluster.PhaseRelease:
 		res.MidAnnounce++
@@ -294,16 +249,13 @@ func (f *clusterFuzzer) classify(res *ClusterResult) {
 	res.MidRoute++
 }
 
-// Round rotates the crash target rng-driven (so the interleaving of targets
-// and boundaries varies per seed), then waits out a random event countdown
-// and injects; the engine runs the oracle registry next.
+// Round draws the crash target (so the interleaving of targets and
+// boundaries varies per seed) and a cluster-event countdown, then injects;
+// the engine runs the oracle registry next.
 func (f *clusterFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
-	target := clusterTarget(f.pickTarget(), f.c.Config().Shards)
-	fired, err := f.crashOnce(target)
-	if err != nil {
-		return fired, fmt.Errorf("%s: %w", cluster.TargetName(target), attributeCutDigest(err))
-	}
-	return fired, nil
+	shards := f.c.Config().Shards
+	target := clusterTarget(f.rng.Intn(2+shards), shards)
+	return f.inject(target, uint64(1+f.rng.Intn(f.cfg.EventWindow)), f.cfg.StepsPerCrash)
 }
 
 // attributeCutDigest turns a typed cut-digest mismatch detected inside the
@@ -334,55 +286,50 @@ func advanceToEvent(fleet *cluster.Fleet, c *cluster.Cluster, deadline uint64, s
 	return false, nil
 }
 
-// crashOnce waits a random event countdown, then injects the failure and
-// runs the recovery procedure for target, a cluster.Fleet.Fail target.
-// Oracle checks are the engine's job (or the caller's, for the one-shot
-// entry point).
-func (f *clusterFuzzer) crashOnce(target int) (bool, error) {
-	res := f.res
-	deadline := f.c.Events() + uint64(1+f.rng.Intn(f.cfg.EventWindow))
-	if fired, err := advanceToEvent(f.fleet, f.c, deadline, f.cfg.StepsPerCrash); !fired || err != nil {
+// inject is the cluster domain's one injection path: drive the cluster up
+// to n micro-steps until k more cluster events have elapsed, then inject
+// the failure and run the recovery procedure for target, a
+// cluster.Fleet.Fail target. Errors name the target, and a cut-digest
+// mismatch convicts "cut-verified".
+func (f *clusterFuzzer) inject(target int, k uint64, n int) (fired bool, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%s: %w", cluster.TargetName(target), attributeCutDigest(err))
+		}
+	}()
+	if fired, err = advanceToEvent(f.fleet, f.c, f.c.Events()+k, n); !fired || err != nil {
 		return false, err
 	}
-	f.classify(res)
+	f.classify()
 	f.lastVictims = f.c.Victims(target)
 	if err := f.RunPreCrash(); err != nil {
 		return false, err
 	}
 	switch target {
 	case cluster.TargetPower:
-		res.PowerCrashes++
+		f.res.PowerCrashes++
 	case cluster.TargetCoord:
-		res.CoordCrashes++
+		f.res.CoordCrashes++
 	default:
-		res.ShardCrashes++
+		f.res.ShardCrashes++
 	}
 	return true, f.fleet.Fail(target)
 }
 
 // ClusterOneShot runs a single parameterized cluster crash injection — the
-// entry point of FuzzClusterCrashEvent. Boot a gated cluster+fleet with the
-// given seed, wait eventK cluster events, inject the failure against the
-// fuzzed target, recover, and apply the oracle. A run where the countdown
-// never elapses within the step budget is a valid (uninteresting) input.
-// (Historical quirk, preserved: the fuzzed countdown gates a second,
-// rng-drawn countdown inside crashOnce.)
+// entry point of FuzzClusterCrashEvent: boot a gated cluster+fleet with the
+// given seed, then take the campaign's injection path against the fuzzed
+// target with a countdown of eventK cluster events and a budget of steps
+// micro-steps. A countdown that never elapses within the step budget is a
+// valid (uninteresting) input.
 func ClusterOneShot(mode mem.PersistMode, seed, eventK uint64, target uint8, steps uint16) error {
 	cfg := ClusterConfig{Mode: mode}
 	cfg.fill()
-	var res ClusterResult
-	f, err := newClusterFuzzer(cfg, seed, faultplane.Stream(seed, ""), &res)
+	f, err := newClusterFuzzer(cfg, seed, faultplane.Stream(seed, ""), &ClusterResult{})
 	if err != nil {
 		return fmt.Errorf("boot: %w", err)
 	}
-	deadline := f.c.Events() + eventK%uint64(cfg.EventWindow) + 1
-	if fired, err := advanceToEvent(f.fleet, f.c, deadline, int(steps)%cfg.StepsPerCrash+1); !fired || err != nil {
-		return err
-	}
-	fired, err := f.crashOnce(clusterTarget(int(target)%(2+cfg.Shards), cfg.Shards))
-	if !fired || err != nil {
-		return err
-	}
-	_, err = f.oracles.Check()
-	return err
+	fired, err := f.inject(clusterTarget(int(target)%(2+cfg.Shards), cfg.Shards),
+		eventK%uint64(cfg.EventWindow)+1, int(steps)%cfg.StepsPerCrash+1)
+	return judge(f, fired, err)
 }

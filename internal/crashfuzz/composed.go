@@ -333,39 +333,13 @@ func (w *replOverlayWorld) checkPromotable() error {
 }
 
 // probe runs the replication contract against one shard's standby at the
-// shard's current instant: no acknowledged checkpoint refuses promotion; an
-// acknowledged one promotes to the acknowledged version with the exact
-// ledger digest, and a retried promotion lands bit-identically.
+// shard's current instant.
 func (w *replOverlayWorld) probe(s *cluster.Shard) error {
-	t := s.M.Now()
-	acked := s.Rep.AckedVersion(t)
-	if acked == 0 {
+	promoted, err := probeStandby(s.Rep, s.M.Now())
+	if !promoted && err == nil {
 		w.res.NoAckedAtProbe++
-		if _, err := s.Rep.FailoverAt(t); err == nil {
-			return fmt.Errorf("promoted a standby with no acknowledged checkpoint")
-		}
-		return nil
 	}
-	fo, err := s.Rep.FailoverAt(t)
-	if err != nil {
-		return fmt.Errorf("acknowledged checkpoint v%d lost: %w", acked, err)
-	}
-	if fo.Version != acked {
-		return fmt.Errorf("promoted v%d, acknowledged v%d", fo.Version, acked)
-	}
-	if fo.Digest != fo.ExpectedDigest {
-		return fmt.Errorf("standby digest %016x != primary digest %016x at v%d",
-			fo.Digest, fo.ExpectedDigest, fo.Version)
-	}
-	retry, err := s.Rep.FailoverAt(t)
-	if err != nil {
-		return fmt.Errorf("failover retry: %w", err)
-	}
-	if retry.Version != fo.Version || retry.Digest != fo.Digest {
-		return fmt.Errorf("failover retry diverged: v%d/%016x then v%d/%016x",
-			fo.Version, fo.Digest, retry.Version, retry.Digest)
-	}
-	return nil
+	return err
 }
 
 func (w *replOverlayWorld) Finish() error { return nil }
@@ -373,35 +347,24 @@ func (w *replOverlayWorld) Finish() error { return nil }
 // RunMediaDuringReshard composes silent media damage onto the reshard crash
 // campaign: every reshard crash's victim shards get faultsPerVictim rot
 // faults in their restore-source slots immediately before the failure lands.
-func RunMediaDuringReshard(cfg ReshardConfig, faultsPerVictim int) (ReshardResult, MediaOverlayResult, error) {
-	cfg.fill()
+func RunMediaDuringReshard(spec faultplane.Spec, cfg ReshardConfig, faultsPerVictim int) (ReshardResult, MediaOverlayResult, error) {
 	var res ReshardResult
 	var mres MediaOverlayResult
-	st, err := faultplane.RunCampaign(
-		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.ReshardsPerSeed},
-		faultplane.Compose(
-			&reshardDomain{cfg: cfg, res: &res},
-			&mediaOverlay{faultsPerVictim: faultsPerVictim, res: &mres}))
-	res.CrashesFired = st.Injections
-	res.Recoveries = st.Recoveries
+	st, err := runDomain(spec, reshardRounds, cfg.domain(&res),
+		&mediaOverlay{faultsPerVictim: faultsPerVictim, res: &mres})
+	res.CrashesFired, res.Recoveries = st.Injections, st.Recoveries
 	return res, mres, err
 }
 
 // RunReplUnderCluster composes hot-standby failover probing onto the cluster
 // crash campaign. The cluster is forced replicated; cfg.Ungated selects the
 // conviction baseline.
-func RunReplUnderCluster(cfg ClusterConfig) (ClusterResult, ReplProbeResult, error) {
+func RunReplUnderCluster(spec faultplane.Spec, cfg ClusterConfig) (ClusterResult, ReplProbeResult, error) {
 	cfg.Replicate = true
-	cfg.fill()
 	var res ClusterResult
 	var pres ReplProbeResult
-	st, err := faultplane.RunCampaign(
-		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.CrashesPerSeed},
-		faultplane.Compose(
-			&clusterDomain{cfg: cfg, res: &res},
-			&replOverlay{res: &pres}))
-	res.CrashesFired = st.Injections
-	res.Recoveries = st.Recoveries
+	st, err := runDomain(spec, clusterRounds, cfg.domain(&res), &replOverlay{res: &pres})
+	res.CrashesFired, res.Recoveries = st.Injections, st.Recoveries
 	return res, pres, err
 }
 
@@ -409,16 +372,11 @@ func RunReplUnderCluster(cfg ClusterConfig) (ClusterResult, ReplProbeResult, err
 // campaign: rot lands in the primary's restore-source slots at each crash
 // instant, and the restored primary must refold to the restorable digest
 // recorded at the committed version's checkpoint.
-func RunMediaUnderRepl(cfg ReplConfig, faultsPerVictim int) (ReplResult, MediaOverlayResult, error) {
-	cfg.fill()
+func RunMediaUnderRepl(spec faultplane.Spec, cfg ReplConfig, faultsPerVictim int) (ReplResult, MediaOverlayResult, error) {
 	var res ReplResult
 	var mres MediaOverlayResult
-	st, err := faultplane.RunCampaign(
-		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.CrashesPerSeed},
-		faultplane.Compose(
-			&replDomain{cfg: cfg, res: &res},
-			&mediaOverlay{faultsPerVictim: faultsPerVictim, res: &mres}))
-	res.CrashesFired = st.Injections
-	res.Restores = st.Recoveries
+	st, err := runDomain(spec, replRounds, cfg.domain(&res),
+		&mediaOverlay{faultsPerVictim: faultsPerVictim, res: &mres})
+	res.CrashesFired, res.Restores = st.Injections, st.Recoveries
 	return res, mres, err
 }

@@ -27,9 +27,8 @@ func TestMediaDuringReshardCampaign(t *testing.T) {
 		seeds = seeds[:1]
 		faults = 8
 	}
-	res, mres, err := RunMediaDuringReshard(ReshardConfig{
+	res, mres, err := RunMediaDuringReshard(faultplane.Spec{Seeds: seeds}, ReshardConfig{
 		Mode:     mem.ModeEADR,
-		Seeds:    seeds,
 		Replicas: 2, // repair instead of degrade: degradation would break the announced cut digests
 	}, faults)
 	if err != nil {
@@ -51,9 +50,8 @@ func TestMediaDuringReshardCampaign(t *testing.T) {
 	// Ablation: checksums off, no replicas — the identical schedule must be
 	// convicted (silent rot restored into a shard breaks the digests its
 	// cut announced).
-	_, bmres, err := RunMediaDuringReshard(ReshardConfig{
+	_, bmres, err := RunMediaDuringReshard(faultplane.Spec{Seeds: seeds}, ReshardConfig{
 		Mode:             mem.ModeEADR,
-		Seeds:            seeds,
 		DisableChecksums: true,
 	}, faults)
 	var conv *faultplane.Conviction
@@ -75,10 +73,8 @@ func TestReplUnderClusterCrashCampaign(t *testing.T) {
 		seeds = seeds[:2]
 		perSeed = 10
 	}
-	res, pres, err := RunReplUnderCluster(ClusterConfig{
-		Mode:           mem.ModeEADR,
-		Seeds:          seeds,
-		CrashesPerSeed: perSeed,
+	res, pres, err := RunReplUnderCluster(faultplane.Spec{Seeds: seeds, RoundsPerSeed: perSeed}, ClusterConfig{
+		Mode: mem.ModeEADR,
 	})
 	if err != nil {
 		t.Fatalf("gated composed campaign convicted: %v", err)
@@ -98,11 +94,9 @@ func TestReplUnderClusterCrashCampaign(t *testing.T) {
 	// Ablation: drop the extsync gates. Responses then escape before a cut
 	// covers them, and the first recovery that rolls acknowledged state back
 	// is convicted by the justification oracle.
-	_, _, err = RunReplUnderCluster(ClusterConfig{
-		Mode:           mem.ModeEADR,
-		Seeds:          seeds,
-		CrashesPerSeed: perSeed,
-		Ungated:        true,
+	_, _, err = RunReplUnderCluster(faultplane.Spec{Seeds: seeds, RoundsPerSeed: perSeed}, ClusterConfig{
+		Mode:    mem.ModeEADR,
+		Ungated: true,
 	})
 	var conv *faultplane.Conviction
 	if !errors.As(err, &conv) {
@@ -124,9 +118,8 @@ func TestMediaUnderReplCampaign(t *testing.T) {
 		seeds = seeds[:2]
 		faults = 8
 	}
-	res, mres, err := RunMediaUnderRepl(ReplConfig{
+	res, mres, err := RunMediaUnderRepl(faultplane.Spec{Seeds: seeds}, ReplConfig{
 		Mode:     mem.ModeEADR,
-		Seeds:    seeds,
 		Replicas: 2, // repair instead of degrade: a degraded page would break the ledger digest
 	}, faults)
 	if err != nil {
@@ -146,9 +139,8 @@ func TestMediaUnderReplCampaign(t *testing.T) {
 
 	// Ablation: checksums off — silent rot restores into the primary and
 	// the refold no longer matches the ledger.
-	_, bmres, err := RunMediaUnderRepl(ReplConfig{
+	_, bmres, err := RunMediaUnderRepl(faultplane.Spec{Seeds: seeds}, ReplConfig{
 		Mode:             mem.ModeEADR,
-		Seeds:            seeds,
 		DisableChecksums: true,
 	}, faults)
 	var conv *faultplane.Conviction
@@ -168,22 +160,22 @@ func TestComposedInjectionVolume(t *testing.T) {
 		t.Skip("volume floor applies to the full campaign scale")
 	}
 	total := 0
-	rres, rm, err := RunMediaDuringReshard(ReshardConfig{
-		Mode: mem.ModeEADR, Seeds: []uint64{4, 5, 6}, Replicas: 2,
+	rres, rm, err := RunMediaDuringReshard(faultplane.Spec{Seeds: []uint64{4, 5, 6}}, ReshardConfig{
+		Mode: mem.ModeEADR, Replicas: 2,
 	}, 14)
 	if err != nil {
 		t.Fatalf("media×reshard convicted: %v", err)
 	}
 	total += rres.CrashesFired + rm.RotInjected
-	cres, cp, err := RunReplUnderCluster(ClusterConfig{
-		Mode: mem.ModeEADR, Seeds: []uint64{4, 5, 6, 7, 8, 9}, CrashesPerSeed: 24,
+	cres, cp, err := RunReplUnderCluster(faultplane.Spec{Seeds: []uint64{4, 5, 6, 7, 8, 9}, RoundsPerSeed: 24}, ClusterConfig{
+		Mode: mem.ModeEADR,
 	})
 	if err != nil {
 		t.Fatalf("repl×cluster convicted: %v", err)
 	}
 	total += cres.CrashesFired + cp.CrashProbes
-	pres, pm, err := RunMediaUnderRepl(ReplConfig{
-		Mode: mem.ModeEADR, Seeds: []uint64{5, 6, 7, 8, 9, 10, 11}, Replicas: 2,
+	pres, pm, err := RunMediaUnderRepl(faultplane.Spec{Seeds: []uint64{5, 6, 7, 8, 9, 10, 11}}, ReplConfig{
+		Mode: mem.ModeEADR, Replicas: 2,
 	}, 12)
 	if err != nil {
 		t.Fatalf("media×repl convicted: %v", err)

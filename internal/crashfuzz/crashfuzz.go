@@ -5,6 +5,14 @@
 // runs; each domain owns its world choreography — what to build, how to
 // drive it, where to inject — and registers its invariants once.
 //
+// A campaign is run as RunX(spec, cfg): the faultplane.Spec carries the
+// seeds, the rounds per seed (zero takes the domain's default) and the
+// observer; cfg holds only the domain's own knobs. Each domain has one
+// injection path: its world's Round draws a countdown from the stream and
+// injects through it, and the fuzz one-shot (XOneShot) builds the same
+// world, injects through the same path with values decoded from the fuzz
+// input, and runs the same oracle registry.
+//
 // The original crash domain drives randomized workloads on a full
 // simulated machine, arms power failures at randomized NVM persistence
 // events (every tracked store, write-back, fence, and metadata crash point
@@ -33,14 +41,11 @@ import (
 	"treesls/internal/simclock"
 )
 
-// Config parameterizes one fuzzing campaign.
+// Config holds the crash domain's knobs; the seeds, the rounds per seed
+// and the observer come from the campaign's faultplane.Spec.
 type Config struct {
 	// Mode is the persistence model to run under.
 	Mode mem.PersistMode
-	// Seeds are the workload/damage seeds; each seed gets its own machine.
-	Seeds []uint64
-	// CrashesPerSeed is how many crash injections to attempt per seed.
-	CrashesPerSeed int
 	// EventWindow bounds the armed countdown: each injection fires after
 	// 1..EventWindow persistence events.
 	EventWindow int
@@ -59,15 +64,9 @@ type Config struct {
 	// and subtree-commit boundaries are persistence events — so armed
 	// crashes land mid-steal and between subtree commits.
 	SerialWalk bool
-	// Obs attaches an observability layer to the fuzzed machines and the
-	// engine (faultplane.* metrics, per-crash trace instants).
-	Obs *obs.Observer
 }
 
 func (c *Config) fill() {
-	if c.CrashesPerSeed == 0 {
-		c.CrashesPerSeed = faultplane.Defaults.RoundsPerSeed
-	}
 	if c.EventWindow == 0 {
 		c.EventWindow = faultplane.Defaults.EventWindow
 	}
@@ -119,7 +118,6 @@ type Result struct {
 
 // fuzzer is the per-seed world: one machine plus the shadow model.
 type fuzzer struct {
-	fuzzerCounters
 	cfg Config
 	rng *rand.Rand
 	res *Result
@@ -146,32 +144,28 @@ type fuzzer struct {
 	// lastOp describes the workload op a crash interrupted, for error
 	// messages.
 	lastOp string
+
+	// Per-seed outcome counters, folded into the Result by Finish.
+	rollbacks, inFlightCommitted, restoreCrashes int
 }
 
-// crashDomain adapts the crash campaign to the fault-plane engine.
-type crashDomain struct {
-	cfg Config
-	res *Result
-}
-
-func (d *crashDomain) Name() string        { return "crash" }
-func (d *crashDomain) StreamLabel() string { return "" }
-
-func (d *crashDomain) Build(seed uint64, rng *rand.Rand) (faultplane.World, error) {
-	return newFuzzer(d.cfg, seed, rng, d.res)
-}
-
-// Run executes the campaign and returns its aggregate result. The first
-// verification failure aborts the campaign with an error describing the
-// divergence.
-func Run(cfg Config) (Result, error) {
+// domain is the crash campaign's fault-plane domain; o, when set, observes
+// every machine.
+func (cfg Config) domain(o *obs.Observer, res *Result) domain {
 	cfg.fill()
+	return domain{"crash", "", func(seed uint64, rng *rand.Rand) (faultplane.World, error) {
+		return newFuzzer(cfg, o, seed, rng, res)
+	}}
+}
+
+// Run executes the campaign (spec.RoundsPerSeed defaults to the shared
+// faultplane.Defaults.RoundsPerSeed) and returns its aggregate result. The
+// first verification failure aborts the campaign with an error describing
+// the divergence. spec.Obs also observes the fuzzed machines.
+func Run(spec faultplane.Spec, cfg Config) (Result, error) {
 	var res Result
-	st, err := faultplane.RunCampaign(
-		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.CrashesPerSeed, Obs: cfg.Obs},
-		&crashDomain{cfg: cfg, res: &res})
-	res.CrashesFired = st.Injections
-	res.Restores = st.Recoveries
+	st, err := runDomain(spec, faultplane.Defaults.RoundsPerSeed, cfg.domain(spec.Obs, &res))
+	res.CrashesFired, res.Restores = st.Injections, st.Recoveries
 	return res, err
 }
 
@@ -195,15 +189,7 @@ func (f *fuzzer) Finish() error {
 	return f.m.Alloc.CheckInvariants()
 }
 
-// rollbacks / inFlightCommitted live on the fuzzer so Finish can fold them
-// into the Result after the seed finishes.
-type fuzzerCounters struct {
-	rollbacks         int
-	inFlightCommitted int
-	restoreCrashes    int
-}
-
-func newFuzzer(cfg Config, seed uint64, rng *rand.Rand, res *Result) (*fuzzer, error) {
+func newFuzzer(cfg Config, o *obs.Observer, seed uint64, rng *rand.Rand, res *Result) (*fuzzer, error) {
 	mcfg := kernel.DefaultConfig()
 	mcfg.CheckpointEvery = 0 // explicit checkpoints give a precise model
 	mcfg.SkipDefaultServices = true
@@ -214,7 +200,7 @@ func newFuzzer(cfg Config, seed uint64, rng *rand.Rand, res *Result) (*fuzzer, e
 	mcfg.Checkpoint.DemoteAfter = 3
 	mcfg.Checkpoint.ParallelWalk = !cfg.SerialWalk
 	mcfg.Audit = cfg.Audit
-	mcfg.Obs = cfg.Obs
+	mcfg.Obs = o
 	m := kernel.New(mcfg)
 
 	f := &fuzzer{
@@ -256,7 +242,7 @@ func newFuzzer(cfg Config, seed uint64, rng *rand.Rand, res *Result) (*fuzzer, e
 // shadow page and register comparisons against the surviving commit.
 func (f *fuzzer) registerOracles() {
 	f.oracles = faultplane.NewRegistry()
-	f.oracles.Register("audit", f.checkAudit)
+	f.oracles.Register("audit", func() error { return auditClean(f.m) })
 	f.oracles.Register("version-lineage", f.checkLineage)
 	f.oracles.Register("shadow-pages", f.checkPages)
 	f.oracles.Register("shadow-register", f.checkRegister)
@@ -287,19 +273,7 @@ func (f *fuzzer) checkpoint() error {
 	f.m.TakeCheckpoint()
 	// No crash: the round committed.
 	f.commitPending()
-	return f.checkAudit()
-}
-
-// checkAudit surfaces auditor violations as campaign errors.
-func (f *fuzzer) checkAudit() error {
-	if f.m.Auditor == nil {
-		return nil
-	}
-	if la := f.m.LastAudit; !la.Ok() {
-		return fmt.Errorf("audit at %s: %d violation(s), first: %s",
-			la.Where, len(la.Violations), la.Violations[0])
-	}
-	return nil
+	return auditClean(f.m)
 }
 
 func (f *fuzzer) commitPending() {
@@ -309,107 +283,61 @@ func (f *fuzzer) commitPending() {
 	f.pendingVer = 0
 }
 
-// Round arms a random persistence-event countdown, drives the workload
-// until it fires (a window can end quiet — that round simply did not
-// fire), then crash-restores. The engine runs the oracle registry after
-// every fired round.
+// Round draws a persistence-event countdown and injects; the engine runs
+// the oracle registry after every fired round.
 func (f *fuzzer) Round(rng *rand.Rand, round int) (bool, error) {
-	k := 1 + f.rng.Intn(f.cfg.EventWindow)
-	f.m.Memory.ArmCrashAfter(uint64(k))
-	fired := false
-	for step := 0; step < f.cfg.StepsPerCrash && !fired; step++ {
-		var err error
-		fired, err = f.step()
-		if err != nil {
-			f.m.Memory.DisarmCrash()
-			return false, err
-		}
-	}
-	f.m.Memory.DisarmCrash()
-	if !fired {
-		return false, nil
+	return f.inject(uint64(1+f.rng.Intn(f.cfg.EventWindow)), f.cfg.StepsPerCrash)
+}
+
+// inject is the crash domain's one injection path: arm a power failure k
+// persistence events ahead, drive up to n workload steps until it fires (a
+// quiet window simply did not fire), then crash and restore — one restore
+// in RestoreCrashDenom under its own armed countdown.
+func (f *fuzzer) inject(k uint64, n int) (bool, error) {
+	fired, err := armedSteps(f.m, k, n, f.step)
+	if !fired || err != nil {
+		return false, err
 	}
 	if err := f.RunPreCrash(); err != nil {
 		return false, err
 	}
 	f.m.Crash()
-	// One crash in RestoreCrashDenom also arms a failure over the restore
-	// itself: the recovery path's own persistence events (backup copies,
-	// flushes, journaled frees) are crash points too, and a half-finished
-	// restore must be restartable without losing the
-	// never-silently-corrupt guarantee.
-	if f.rng.Intn(faultplane.Defaults.RestoreCrashDenom) == 0 {
-		rfired, err := f.crashDuringRestore()
-		if err != nil {
-			return true, err
-		}
-		if rfired {
-			f.restoreCrashes++
-			if err := f.m.Restore(); err != nil {
-				return true, fmt.Errorf("after crash-during-restore: restore: %w", err)
-			}
-			return true, nil
-		}
-		// The countdown outlived the restore: the machine is already up,
-		// only the oracle run remains.
-		return true, nil
+	restoreCrashed, err := restoreAfterCrash(f.m, f.rng, true, f.cfg.EventWindow)
+	if restoreCrashed {
+		f.restoreCrashes++
 	}
-	if err := f.m.Restore(); err != nil {
-		return true, fmt.Errorf("restore: %w", err)
-	}
-	return true, nil
+	return true, err
 }
 
-// crashDuringRestore attempts a restore with an armed power-failure
-// countdown. It reports whether the failure fired mid-restore (leaving the
-// machine crashed again); if the restore completed first, the machine is
-// running and the oracle run is the caller's next step.
-func (f *fuzzer) crashDuringRestore() (bool, error) {
-	f.m.Memory.ArmCrashAfter(uint64(1 + f.rng.Intn(f.cfg.EventWindow)))
-	fired, err := faultplane.CatchCrash(f.m.Restore)
-	f.m.Memory.DisarmCrash()
-	if fired {
-		f.m.Crash()
-		return true, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("restore (armed): %w", err)
-	}
-	return false, nil
-}
-
-// step runs one random workload operation, converting an injected power
-// failure into a clean "fired" signal.
-func (f *fuzzer) step() (bool, error) {
-	return faultplane.CatchCrash(func() error {
-		switch r := f.rng.Intn(100); {
-		case r < 62: // page write
-			i, v := f.rng.Intn(f.cfg.Pages), f.rng.Uint64()
-			f.lastOp = fmt.Sprintf("write page %d = %#x", i, v)
-			return f.writePage(i, v)
-		case r < 72: // register update
-			v := f.rng.Uint64()
-			f.lastOp = "register update"
-			_, e := f.m.Run(f.p, f.p.Threads[1], func(e *kernel.Env) error {
-				e.T.Touch(func(c *caps.Context) { c.R[5] = v })
-				return nil
-			})
-			if e == nil {
-				f.liveReg = v
-			}
-			return e
-		case r < 78: // cold-page eviction (exercises swap under crash)
-			f.lastOp = "evict"
-			if f.m.Ckpt.HasCheckpoint() {
-				_, e := f.m.EvictColdPages(f.rng.Intn(4) + 1)
-				return e
-			}
+// step runs one random workload operation.
+func (f *fuzzer) step() error {
+	switch r := f.rng.Intn(100); {
+	case r < 62: // page write
+		i, v := f.rng.Intn(f.cfg.Pages), f.rng.Uint64()
+		f.lastOp = fmt.Sprintf("write page %d = %#x", i, v)
+		return f.writePage(i, v)
+	case r < 72: // register update
+		v := f.rng.Uint64()
+		f.lastOp = "register update"
+		_, e := f.m.Run(f.p, f.p.Threads[1], func(e *kernel.Env) error {
+			e.T.Touch(func(c *caps.Context) { c.R[5] = v })
 			return nil
-		default: // checkpoint
-			f.lastOp = fmt.Sprintf("checkpoint v%d", f.m.Ckpt.CommittedVersion()+1)
-			return f.checkpoint()
+		})
+		if e == nil {
+			f.liveReg = v
 		}
-	})
+		return e
+	case r < 78: // cold-page eviction (exercises swap under crash)
+		f.lastOp = "evict"
+		if f.m.Ckpt.HasCheckpoint() {
+			_, e := f.m.EvictColdPages(f.rng.Intn(4) + 1)
+			return e
+		}
+		return nil
+	default: // checkpoint
+		f.lastOp = fmt.Sprintf("checkpoint v%d", f.m.Ckpt.CommittedVersion()+1)
+		return f.checkpoint()
+	}
 }
 
 // checkLineage classifies which version survived the crash — the last
@@ -475,16 +403,15 @@ func (f *fuzzer) checkRegister() error {
 	return nil
 }
 
-// OneShot runs a single parameterized crash injection: boot a machine with
-// the given workload seed, arm a power failure eventK persistence events
-// ahead, drive up to steps workload operations, and — if the failure fired —
-// crash, restore, and run the oracle set (with the state-digest auditor
-// enabled). It is the entry point of FuzzCrashEvent: the fuzzer owns the
-// parameter space, this function owns the oracle. A run where the countdown
-// never fires is a valid (uninteresting) input, not an error. serial selects
-// the reference walk; the default parallel walk adds a persistence event at
-// every work-queue claim and subtree commit, putting those boundaries inside
-// the fuzzed crash window.
+// OneShot runs a single parameterized crash injection — the entry point of
+// FuzzCrashEvent: boot a machine with the given workload seed and the
+// state-digest auditor on, then take the campaign's injection path with a
+// countdown of eventK persistence events and a budget of steps workload
+// operations. A run where the countdown never fires is a valid
+// (uninteresting) input, not an error. serial selects the reference walk;
+// the default parallel walk adds a persistence event at every work-queue
+// claim and subtree commit, putting those boundaries inside the fuzzed
+// crash window.
 func OneShot(mode mem.PersistMode, seed, eventK uint64, steps uint16, serial bool) error {
 	cfg := Config{
 		Mode:       mode,
@@ -494,32 +421,10 @@ func OneShot(mode mem.PersistMode, seed, eventK uint64, steps uint16, serial boo
 		SerialWalk: serial,
 	}
 	cfg.fill()
-	var res Result
-	f, err := newFuzzer(cfg, seed, faultplane.Stream(seed, ""), &res)
+	f, err := newFuzzer(cfg, nil, seed, faultplane.Stream(seed, ""), &Result{})
 	if err != nil {
 		return fmt.Errorf("boot: %w", err)
 	}
-	if err := f.checkAudit(); err != nil {
-		return err
-	}
-	f.m.Memory.ArmCrashAfter(eventK%uint64(cfg.EventWindow) + 1)
-	n := int(steps)%cfg.StepsPerCrash + 1
-	fired := false
-	for step := 0; step < n && !fired; step++ {
-		fired, err = f.step()
-		if err != nil {
-			f.m.Memory.DisarmCrash()
-			return err
-		}
-	}
-	f.m.Memory.DisarmCrash()
-	if !fired {
-		return nil
-	}
-	f.m.Crash()
-	if err := f.m.Restore(); err != nil {
-		return fmt.Errorf("restore: %w", err)
-	}
-	_, err = f.oracles.Check()
-	return err
+	fired, err := f.inject(eventK%uint64(cfg.EventWindow)+1, int(steps)%cfg.StepsPerCrash+1)
+	return judge(f, fired, err)
 }

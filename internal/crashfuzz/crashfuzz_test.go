@@ -6,6 +6,7 @@ import (
 
 	"treesls/internal/alloc"
 	"treesls/internal/caps"
+	"treesls/internal/faultplane"
 	"treesls/internal/kernel"
 	"treesls/internal/mem"
 )
@@ -20,10 +21,8 @@ func TestCrashFuzzADR(t *testing.T) {
 		seeds = seeds[:3]
 		crashes = 30
 	}
-	res, err := Run(Config{
-		Mode:           mem.ModeADR,
-		Seeds:          seeds,
-		CrashesPerSeed: crashes,
+	res, err := Run(faultplane.Spec{Seeds: seeds, RoundsPerSeed: crashes}, Config{
+		Mode: mem.ModeADR,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,10 +50,8 @@ func TestCrashFuzzADR(t *testing.T) {
 // TestCrashFuzzEADR runs the same harness under the default eADR model,
 // where every store is durable on landing and crashes lose nothing.
 func TestCrashFuzzEADR(t *testing.T) {
-	res, err := Run(Config{
-		Mode:           mem.ModeEADR,
-		Seeds:          []uint64{7, 8, 9},
-		CrashesPerSeed: 40,
+	res, err := Run(faultplane.Spec{Seeds: []uint64{7, 8, 9}, RoundsPerSeed: 40}, Config{
+		Mode: mem.ModeEADR,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,12 +68,13 @@ func TestCrashFuzzEADR(t *testing.T) {
 // TestDeterministicReplay re-runs one seed and expects an identical result:
 // the harness, the damage RNG, and the simulation are all deterministic.
 func TestDeterministicReplay(t *testing.T) {
-	cfg := Config{Mode: mem.ModeADR, Seeds: []uint64{42}, CrashesPerSeed: 25}
-	a, err := Run(cfg)
+	spec := faultplane.Spec{Seeds: []uint64{42}, RoundsPerSeed: 25}
+	cfg := Config{Mode: mem.ModeADR}
+	a, err := Run(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := Run(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

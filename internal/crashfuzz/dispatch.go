@@ -13,7 +13,8 @@ import (
 
 // oneShots maps each fault domain to its one-shot executor. The positional
 // argument layouts live in faultplane.Schemas; this table is the only place
-// that turns a decoded Input back into a legacy OneShot call.
+// that turns a decoded Input into a one-shot call, and every one-shot takes
+// its domain's own injection path — the code each campaign round runs.
 var oneShots = map[string]func(in faultplane.Input) error{
 	"crash": func(in faultplane.Input) error {
 		return OneShot(in.Mode(), in.Seed, in.EventK, in.Steps, in.Flag)

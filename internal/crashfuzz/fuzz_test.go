@@ -3,6 +3,7 @@ package crashfuzz
 import (
 	"testing"
 
+	"treesls/internal/faultplane"
 	"treesls/internal/mem"
 )
 
@@ -36,14 +37,11 @@ func FuzzCrashEvent(f *testing.F) {
 // boundaries add persistence events, so the event streams differ).
 func TestCrashFuzzBothWalks(t *testing.T) {
 	for _, serial := range []bool{false, true} {
-		cfg := Config{
-			Mode:           mem.ModeADR,
-			Seeds:          []uint64{11, 12},
-			CrashesPerSeed: 15,
-			Audit:          true,
-			SerialWalk:     serial,
-		}
-		res, err := Run(cfg)
+		res, err := Run(faultplane.Spec{Seeds: []uint64{11, 12}, RoundsPerSeed: 15}, Config{
+			Mode:       mem.ModeADR,
+			Audit:      true,
+			SerialWalk: serial,
+		})
 		if err != nil {
 			t.Fatalf("serial=%v: %v", serial, err)
 		}
@@ -68,13 +66,10 @@ func TestCrashFuzzAuditClean(t *testing.T) {
 		crashes = 8
 	}
 	for _, mode := range []mem.PersistMode{mem.ModeEADR, mem.ModeADR} {
-		cfg := Config{
-			Mode:           mode,
-			Seeds:          seeds,
-			CrashesPerSeed: crashes,
-			Audit:          true,
-		}
-		res, err := Run(cfg)
+		res, err := Run(faultplane.Spec{Seeds: seeds, RoundsPerSeed: crashes}, Config{
+			Mode:  mode,
+			Audit: true,
+		})
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}

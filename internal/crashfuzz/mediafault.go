@@ -25,7 +25,7 @@ import (
 	"treesls/internal/simclock"
 )
 
-// MediaConfig parameterizes one media-fault campaign.
+// MediaConfig holds the media domain's knobs.
 type MediaConfig struct {
 	// Mode is the persistence model (eADR or ADR).
 	Mode mem.PersistMode
@@ -34,12 +34,6 @@ type MediaConfig struct {
 	// copy configurations of the checkpoint manager.
 	Method     checkpoint.CopyMethod
 	HybridCopy bool
-	// Seeds drive both the workload and the fault injector; each seed
-	// gets its own machine.
-	Seeds []uint64
-	// InjectionsPerSeed is how many inject-crash-restore-verify rounds
-	// to run per seed.
-	InjectionsPerSeed int
 	// Pages is the app working set (default 24). Threads defaults to 2.
 	Pages, Threads int
 	// CrashFaults adds background media damage: this many random NVM
@@ -66,9 +60,6 @@ type MediaConfig struct {
 }
 
 func (c *MediaConfig) fill() {
-	if c.InjectionsPerSeed == 0 {
-		c.InjectionsPerSeed = faultplane.Defaults.RoundsPerSeed
-	}
 	if c.Pages == 0 {
 		c.Pages = 24
 	}
@@ -109,30 +100,24 @@ type MediaResult struct {
 	AuditChecks                               uint64
 }
 
-// mediaDomain adapts the media campaign to the fault-plane engine. Its
-// stream label preserves the campaign's historical RNG identity: the silo
-// always XORed its seeds with the ASCII bytes of "media".
-type mediaDomain struct {
-	cfg MediaConfig
-	res *MediaResult
+// domain is the media campaign's fault-plane domain. Its stream label
+// preserves the campaign's historical RNG identity: the silo always XORed
+// its seeds with the ASCII bytes of "media".
+func (cfg MediaConfig) domain(res *MediaResult) domain {
+	cfg.fill()
+	return domain{"media", "media", func(seed uint64, rng *rand.Rand) (faultplane.World, error) {
+		return newMediaFuzzer(cfg, seed, rng, res)
+	}}
 }
 
-func (d *mediaDomain) Name() string        { return "media" }
-func (d *mediaDomain) StreamLabel() string { return "media" }
-
-func (d *mediaDomain) Build(seed uint64, rng *rand.Rand) (faultplane.World, error) {
-	return newMediaFuzzer(d.cfg, seed, rng, d.res)
-}
-
-// RunMedia executes the campaign and returns the aggregate result. With
+// RunMedia executes the campaign (one inject-crash-restore-verify round
+// per spec round; spec.RoundsPerSeed defaults to the shared
+// faultplane.Defaults.RoundsPerSeed) and returns the aggregate result. With
 // checksums enabled, the first silently corrupt page aborts with an error;
 // the baseline instead counts and resynchronizes.
-func RunMedia(cfg MediaConfig) (MediaResult, error) {
-	cfg.fill()
+func RunMedia(spec faultplane.Spec, cfg MediaConfig) (MediaResult, error) {
 	var res MediaResult
-	_, err := faultplane.RunCampaign(
-		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.InjectionsPerSeed},
-		&mediaDomain{cfg: cfg, res: &res})
+	_, err := runDomain(spec, faultplane.Defaults.RoundsPerSeed, cfg.domain(&res))
 	return res, err
 }
 
@@ -220,7 +205,7 @@ func newMediaFuzzer(cfg MediaConfig, seed uint64, rng *rand.Rand, res *MediaResu
 // page-content walk.
 func (f *mediaFuzzer) registerOracles() {
 	f.oracles = faultplane.NewRegistry()
-	f.oracles.Register("audit", f.checkAudit)
+	f.oracles.Register("audit", func() error { return auditClean(f.m) })
 	f.oracles.Register("committed-version", f.checkVersion)
 	f.oracles.Register("page-contract", f.checkPages)
 }
@@ -382,33 +367,20 @@ func (f *mediaFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
 	}
 	f.m.Crash()
 	res.Crashes++
-	commitDead := false
-	if f.cfg.CrashDuringRestore && f.rng.Intn(faultplane.Defaults.RestoreCrashDenom) == 0 {
-		fired, err := f.crashRestore()
-		switch {
-		case f.commitLost(err):
-			commitDead = true
-		case err != nil:
-			return false, err
-		case fired:
-			res.RestoreCrashes++
-		}
+	restoreCrashed, err := restoreAfterCrash(f.m, f.rng, f.cfg.CrashDuringRestore, faultplane.Defaults.RestoreEventWindow)
+	if restoreCrashed {
+		res.RestoreCrashes++
 	}
-	if !commitDead && f.m.Crashed() {
-		err := f.m.Restore()
-		if f.commitLost(err) {
-			commitDead = true
-		} else if err != nil {
-			return false, fmt.Errorf("restore: %w", err)
-		}
-	}
-	if commitDead {
+	if f.commitLost(err) {
 		// Both commit-record copies were separately damaged and the
 		// restore failed closed — loud, attributable total loss, the
 		// designed outcome of a double fault on a 2-copy record. The
 		// machine is unrestorable; the seed ends here.
 		res.CommitLost++
 		return false, faultplane.ErrStopSeed
+	}
+	if err != nil {
+		return false, err
 	}
 	// A completed restore validated (or repaired from the mirror) the
 	// primary commit record; latent mirror rot is untouched.
@@ -440,32 +412,6 @@ func (f *mediaFuzzer) Finish() error {
 func (f *mediaFuzzer) commitLost(err error) bool {
 	return err != nil && errors.Is(err, checkpoint.ErrNoCheckpoint) &&
 		f.primaryFault && f.mirrorFault
-}
-
-// crashRestore restores under an armed power-failure countdown, re-crashing
-// the machine if it fires. The caller finishes the restore if needed.
-func (f *mediaFuzzer) crashRestore() (fired bool, err error) {
-	f.m.Memory.ArmCrashAfter(uint64(1 + f.rng.Intn(faultplane.Defaults.RestoreEventWindow)))
-	fired, err = faultplane.CatchCrash(f.m.Restore)
-	f.m.Memory.DisarmCrash()
-	if fired {
-		f.m.Crash()
-		return true, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("restore (armed): %w", err)
-	}
-	return false, nil
-}
-
-func (f *mediaFuzzer) checkAudit() error {
-	if f.m.Auditor == nil {
-		return nil
-	}
-	if la := f.m.LastAudit; !la.Ok() {
-		return fmt.Errorf("audit at %s: %s", la.Where, la.Violations[0])
-	}
-	return nil
 }
 
 func (f *mediaFuzzer) checkVersion() error {
@@ -559,8 +505,6 @@ func (f *mediaFuzzer) checkPages() error {
 func OneShotMedia(mode mem.PersistMode, seed, injections, crashFaults uint64, duringRestore bool) error {
 	cfg := MediaConfig{
 		Mode:               mode,
-		Seeds:              []uint64{seed},
-		InjectionsPerSeed:  int(injections%12) + 1,
 		Pages:              12,
 		CrashFaults:        int(crashFaults % 4),
 		CrashDuringRestore: duringRestore,
@@ -572,7 +516,7 @@ func OneShotMedia(mode mem.PersistMode, seed, injections, crashFaults uint64, du
 	} else if seed%3 == 2 {
 		cfg.HybridCopy = true
 	}
-	res, err := RunMedia(cfg)
+	res, err := RunMedia(faultplane.Spec{Seeds: []uint64{seed}, RoundsPerSeed: int(injections%12) + 1}, cfg)
 	if err != nil {
 		return err
 	}

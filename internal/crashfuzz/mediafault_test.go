@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"treesls/internal/checkpoint"
+	"treesls/internal/faultplane"
 	"treesls/internal/mem"
 )
 
@@ -36,12 +37,10 @@ func TestMediaFaultCampaign(t *testing.T) {
 	var total MediaResult
 	for _, mode := range []mem.PersistMode{mem.ModeEADR, mem.ModeADR} {
 		for _, cc := range copyConfigs {
-			res, err := RunMedia(MediaConfig{
+			res, err := RunMedia(faultplane.Spec{Seeds: seeds, RoundsPerSeed: injections}, MediaConfig{
 				Mode:               mode,
 				Method:             cc.method,
 				HybridCopy:         cc.hybrid,
-				Seeds:              seeds,
-				InjectionsPerSeed:  injections,
 				CrashFaults:        2,
 				CrashDuringRestore: true,
 				ScrubEveryN:        1,
@@ -91,11 +90,9 @@ func TestMediaFaultCampaign(t *testing.T) {
 // campaign with checksums disabled must let silent rot through — proving
 // the checksummed tree is what provides the guarantee, not luck.
 func TestMediaBaselineSilentlyCorrupts(t *testing.T) {
-	res, err := RunMedia(MediaConfig{
-		Mode:              mem.ModeADR,
-		Seeds:             []uint64{9, 10},
-		InjectionsPerSeed: 50,
-		DisableChecksums:  true,
+	res, err := RunMedia(faultplane.Spec{Seeds: []uint64{9, 10}, RoundsPerSeed: 50}, MediaConfig{
+		Mode:             mem.ModeADR,
+		DisableChecksums: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,12 +107,10 @@ func TestMediaBaselineSilentlyCorrupts(t *testing.T) {
 // TestMediaReplicaRepair: with backup replicas on, detected corruption is
 // repaired transparently instead of degrading the restore.
 func TestMediaReplicaRepair(t *testing.T) {
-	res, err := RunMedia(MediaConfig{
-		Mode:              mem.ModeADR,
-		Seeds:             []uint64{21, 22},
-		InjectionsPerSeed: 40,
-		Replicas:          2,
-		ScrubEveryN:       2,
+	res, err := RunMedia(faultplane.Spec{Seeds: []uint64{21, 22}, RoundsPerSeed: 40}, MediaConfig{
+		Mode:        mem.ModeADR,
+		Replicas:    2,
+		ScrubEveryN: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,15 +127,15 @@ func TestMediaReplicaRepair(t *testing.T) {
 
 // TestMediaDeterministicReplay: the media campaign is bit-deterministic.
 func TestMediaDeterministicReplay(t *testing.T) {
+	spec := faultplane.Spec{Seeds: []uint64{33}, RoundsPerSeed: 20}
 	cfg := MediaConfig{
-		Mode: mem.ModeADR, Seeds: []uint64{33}, InjectionsPerSeed: 20,
-		CrashFaults: 1, CrashDuringRestore: true, ScrubEveryN: 2,
+		Mode: mem.ModeADR, CrashFaults: 1, CrashDuringRestore: true, ScrubEveryN: 2,
 	}
-	a, err := RunMedia(cfg)
+	a, err := RunMedia(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMedia(cfg)
+	b, err := RunMedia(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +148,8 @@ func TestMediaDeterministicReplay(t *testing.T) {
 // injection actually fires: some restores are themselves crashed and the
 // re-entered recovery still verifies.
 func TestCrashDuringRestore(t *testing.T) {
-	res, err := Run(Config{
-		Mode:           mem.ModeADR,
-		Seeds:          []uint64{13, 14},
-		CrashesPerSeed: 40,
+	res, err := Run(faultplane.Spec{Seeds: []uint64{13, 14}, RoundsPerSeed: 40}, Config{
+		Mode: mem.ModeADR,
 	})
 	if err != nil {
 		t.Fatal(err)

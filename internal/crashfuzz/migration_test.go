@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"treesls/internal/checkpoint"
+	"treesls/internal/faultplane"
 	"treesls/internal/mem"
 )
 
@@ -54,16 +55,14 @@ func TestMigrationCrashGolden(t *testing.T) {
 		{mode: mem.ModeADR, want: crashGoldenADR, wantDigest: crashGoldenADRDigest},
 		{mode: mem.ModeEADR, want: crashGoldenEADR, wantDigest: crashGoldenEADRDigest},
 	} {
-		res, err := Run(Config{
-			Mode:           tc.mode,
-			Seeds:          []uint64{101, 102},
-			CrashesPerSeed: 10,
-			EventWindow:    96,
-			StepsPerCrash:  400,
-			Pages:          32,
-			Threads:        4,
-			Audit:          true,
-			SerialWalk:     false,
+		res, err := Run(faultplane.Spec{Seeds: []uint64{101, 102}, RoundsPerSeed: 10}, Config{
+			Mode:          tc.mode,
+			EventWindow:   96,
+			StepsPerCrash: 400,
+			Pages:         32,
+			Threads:       4,
+			Audit:         true,
+			SerialWalk:    false,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", tc.mode, err)
@@ -73,16 +72,14 @@ func TestMigrationCrashGolden(t *testing.T) {
 }
 
 func TestMigrationNetGolden(t *testing.T) {
-	res, err := RunNet(NetConfig{
-		Mode:           mem.ModeADR,
-		Seeds:          []uint64{201},
-		CrashesPerSeed: 6,
-		EventWindow:    64,
-		StepsPerCrash:  600,
-		Clients:        3,
-		Window:         2,
-		IntervalUs:     200,
-		ProgressSteps:  150,
+	res, err := RunNet(faultplane.Spec{Seeds: []uint64{201}, RoundsPerSeed: 6}, NetConfig{
+		Mode:          mem.ModeADR,
+		EventWindow:   64,
+		StepsPerCrash: 600,
+		Clients:       3,
+		Window:        2,
+		IntervalUs:    200,
+		ProgressSteps: 150,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,12 +88,10 @@ func TestMigrationNetGolden(t *testing.T) {
 }
 
 func TestMigrationMediaGolden(t *testing.T) {
-	res, err := RunMedia(MediaConfig{
+	res, err := RunMedia(faultplane.Spec{Seeds: []uint64{301}, RoundsPerSeed: 12}, MediaConfig{
 		Mode:               mem.ModeADR,
 		Method:             checkpoint.MethodCOW,
 		HybridCopy:         false,
-		Seeds:              []uint64{301},
-		InjectionsPerSeed:  12,
 		Pages:              24,
 		Threads:            2,
 		CrashFaults:        2,
@@ -113,12 +108,10 @@ func TestMigrationMediaGolden(t *testing.T) {
 }
 
 func TestMigrationReplGolden(t *testing.T) {
-	res, err := RunRepl(ReplConfig{
+	res, err := RunRepl(faultplane.Spec{Seeds: []uint64{401}, RoundsPerSeed: 4}, ReplConfig{
 		Mode:           mem.ModeADR,
 		Method:         checkpoint.MethodCOW,
 		Hybrid:         false,
-		Seeds:          []uint64{401},
-		CrashesPerSeed: 4,
 		EventWindow:    96,
 		StepsPerCrash:  40,
 		WritesPerRound: 6,
@@ -131,16 +124,14 @@ func TestMigrationReplGolden(t *testing.T) {
 }
 
 func TestMigrationClusterGolden(t *testing.T) {
-	res, err := RunCluster(ClusterConfig{
-		Mode:           mem.ModeADR,
-		Seeds:          []uint64{501},
-		Shards:         2,
-		CrashesPerSeed: 8,
-		EventWindow:    40,
-		StepsPerCrash:  800,
-		Clients:        2,
-		KeysPerClient:  2,
-		Window:         2,
+	res, err := RunCluster(faultplane.Spec{Seeds: []uint64{501}, RoundsPerSeed: 8}, ClusterConfig{
+		Mode:          mem.ModeADR,
+		Shards:        2,
+		EventWindow:   40,
+		StepsPerCrash: 800,
+		Clients:       2,
+		KeysPerClient: 2,
+		Window:        2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,15 +140,13 @@ func TestMigrationClusterGolden(t *testing.T) {
 }
 
 func TestMigrationReshardGolden(t *testing.T) {
-	res, err := RunReshard(ReshardConfig{
-		Mode:            mem.ModeADR,
-		Seeds:           []uint64{601},
-		Shards:          3,
-		ReshardsPerSeed: 4,
-		StepsPerCrash:   4000,
-		Clients:         2,
-		KeysPerClient:   2,
-		Window:          2,
+	res, err := RunReshard(faultplane.Spec{Seeds: []uint64{601}, RoundsPerSeed: 4}, ReshardConfig{
+		Mode:          mem.ModeADR,
+		Shards:        3,
+		StepsPerCrash: 4000,
+		Clients:       2,
+		KeysPerClient: 2,
+		Window:        2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,10 +24,6 @@ import (
 type NetConfig struct {
 	// Mode is the persistence model to run under.
 	Mode mem.PersistMode
-	// Seeds are the machine/damage seeds; each seed gets its own machine.
-	Seeds []uint64
-	// CrashesPerSeed is how many crash injections to attempt per seed.
-	CrashesPerSeed int
 	// EventWindow bounds the armed countdown.
 	EventWindow int
 	// StepsPerCrash bounds the fleet micro-steps run while waiting for an
@@ -52,9 +48,6 @@ type NetConfig struct {
 }
 
 func (c *NetConfig) fill() {
-	if c.CrashesPerSeed == 0 {
-		c.CrashesPerSeed = faultplane.Defaults.RoundsPerSeed
-	}
 	if c.EventWindow == 0 {
 		c.EventWindow = faultplane.Defaults.EventWindow
 	}
@@ -117,31 +110,23 @@ type netFuzzer struct {
 	lastFired bool
 }
 
-// netDomain adapts the network campaign to the fault-plane engine.
-type netDomain struct {
-	cfg NetConfig
-	res *NetResult
-}
-
-func (d *netDomain) Name() string        { return "net" }
-func (d *netDomain) StreamLabel() string { return "" }
-
-func (d *netDomain) Build(seed uint64, rng *rand.Rand) (faultplane.World, error) {
-	return newNetFuzzer(d.cfg, seed, rng, d.res)
-}
-
-// RunNet executes the campaign. The oracle after every restore: the fleet's
-// acknowledged prefixes are justified by the restored per-connection
-// counters, client-observed FIFO order never broke, and the state-digest
-// auditor stayed clean.
-func RunNet(cfg NetConfig) (NetResult, error) {
+// domain is the network campaign's fault-plane domain.
+func (cfg NetConfig) domain(res *NetResult) domain {
 	cfg.fill()
+	return domain{"net", "", func(seed uint64, rng *rand.Rand) (faultplane.World, error) {
+		return newNetFuzzer(cfg, seed, rng, res)
+	}}
+}
+
+// RunNet executes the campaign (spec.RoundsPerSeed defaults to the shared
+// faultplane.Defaults.RoundsPerSeed). The oracle after every restore: the
+// fleet's acknowledged prefixes are justified by the restored
+// per-connection counters, client-observed FIFO order never broke, and the
+// state-digest auditor stayed clean.
+func RunNet(spec faultplane.Spec, cfg NetConfig) (NetResult, error) {
 	var res NetResult
-	st, err := faultplane.RunCampaign(
-		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.CrashesPerSeed},
-		&netDomain{cfg: cfg, res: &res})
-	res.CrashesFired = st.Injections
-	res.Restores = st.Recoveries
+	st, err := runDomain(spec, faultplane.Defaults.RoundsPerSeed, cfg.domain(&res))
+	res.CrashesFired, res.Restores = st.Injections, st.Recoveries
 	return res, err
 }
 
@@ -197,7 +182,7 @@ func newNetFuzzer(cfg NetConfig, seed uint64, rng *rand.Rand, res *NetResult) (*
 	m.TakeCheckpoint() // base state: a crash at any event has somewhere to restore to
 	f := &netFuzzer{cfg: cfg, rng: rng, res: res, m: m, nw: nw, fleet: fleet}
 	f.registerOracles()
-	return f, f.checkAudit()
+	return f, auditClean(m)
 }
 
 // registerOracles wires the external-synchrony invariant set in the legacy
@@ -205,10 +190,10 @@ func newNetFuzzer(cfg NetConfig, seed uint64, rng *rand.Rand, res *NetResult) (*
 // then client-observed FIFO, then duplicate acknowledgements.
 func (f *netFuzzer) registerOracles() {
 	f.oracles = faultplane.NewRegistry()
-	f.oracles.Register("audit", f.checkAudit)
-	f.oracles.Register("extsync-justified", f.checkJustified)
-	f.oracles.Register("client-fifo", f.checkFIFO)
-	f.oracles.Register("dup-acks", f.checkDupAcks)
+	f.oracles.Register("audit", func() error { return auditClean(f.m) })
+	f.oracles.Register("extsync-justified", justified(&f.fleet.ClientCore))
+	f.oracles.Register("client-fifo", clientFIFO(&f.fleet.ClientCore))
+	f.oracles.Register("dup-acks", noDupAcks(&f.fleet.ClientCore))
 }
 
 // Oracles returns the net domain's registry.
@@ -217,61 +202,23 @@ func (f *netFuzzer) Oracles() *faultplane.Registry { return f.oracles }
 // Now reports simulated time for engine trace instants.
 func (f *netFuzzer) Now() simclock.Time { return f.m.Now() }
 
-func (f *netFuzzer) checkAudit() error {
-	if f.m.Auditor == nil {
-		return nil
-	}
-	if la := f.m.LastAudit; !la.Ok() {
-		return fmt.Errorf("audit at %s: %d violation(s), first: %s",
-			la.Where, len(la.Violations), la.Violations[0])
-	}
-	return nil
-}
-
-func (f *netFuzzer) checkJustified() error {
-	bad, err := f.fleet.CheckJustified()
-	if err != nil {
-		return err
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("released-but-unpersisted response: %s", bad[0])
-	}
-	return nil
-}
-
-func (f *netFuzzer) checkFIFO() error {
-	if n := len(f.fleet.Violations); n > 0 {
-		return fmt.Errorf("client FIFO violation: %s", f.fleet.Violations[0])
-	}
-	return nil
-}
-
-func (f *netFuzzer) checkDupAcks() error {
-	if f.fleet.DupAcks > 0 {
-		return fmt.Errorf("%d duplicate acknowledgements after restore", f.fleet.DupAcks)
-	}
-	return nil
-}
-
-// Round arms a random persistence-event countdown, drives fleet
-// micro-steps until it fires, then crash-restores and resynchronizes the
-// fleet; the engine runs the oracle registry next.
+// Round draws a persistence-event countdown and injects; the engine runs
+// the oracle registry next.
 func (f *netFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
+	return f.inject(uint64(1+f.rng.Intn(f.cfg.EventWindow)), f.cfg.StepsPerCrash)
+}
+
+// inject is the net domain's one injection path: arm a power failure k
+// persistence events ahead, drive up to n fleet micro-steps until it
+// fires, then crash-restore and resynchronize the fleet. The micro-step
+// scheduler lands the failure wherever the traffic put persistence events:
+// inside a SET's stores, the ring append, a checkpoint walk, or the
+// post-commit release.
+func (f *netFuzzer) inject(k uint64, n int) (bool, error) {
 	f.lastFired = false
-	k := 1 + f.rng.Intn(f.cfg.EventWindow)
-	f.m.Memory.ArmCrashAfter(uint64(k))
-	fired := false
-	for step := 0; step < f.cfg.StepsPerCrash && !fired; step++ {
-		var err error
-		fired, err = f.step()
-		if err != nil {
-			f.m.Memory.DisarmCrash()
-			return false, err
-		}
-	}
-	f.m.Memory.DisarmCrash()
-	if !fired {
-		return false, nil
+	fired, err := armedSteps(f.m, k, n, f.step)
+	if !fired || err != nil {
+		return false, err
 	}
 	if err := f.RunPreCrash(); err != nil {
 		return false, err
@@ -292,57 +239,32 @@ func (f *netFuzzer) PostRound(rng *rand.Rand) error {
 		return nil
 	}
 	for step := 0; step < f.cfg.ProgressSteps; step++ {
-		if _, err := f.fleet.Step(); err != nil {
+		if err := f.step(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// step runs one fleet micro-step, converting an injected power failure into
-// a clean "fired" signal. The micro-step scheduler means the failure lands
-// wherever the traffic put persistence events: inside a SET's stores, the
-// ring append, a checkpoint walk, or the post-commit release.
-func (f *netFuzzer) step() (bool, error) {
-	return faultplane.CatchCrash(func() error {
-		_, err := f.fleet.Step()
-		return err
-	})
+// step runs one fleet micro-step.
+func (f *netFuzzer) step() error {
+	_, err := f.fleet.Step()
+	return err
 }
 
 // NetOneShot runs a single parameterized network crash injection — the
-// entry point of FuzzNetCrashEvent. Boot a gated machine+fleet with the
-// given seed, arm a power failure eventK persistence events ahead, drive up
-// to steps fleet micro-steps, and if the failure fired, crash, restore, and
-// apply the external-synchrony oracle. A run where the countdown never
-// fires is a valid (uninteresting) input, not an error.
+// entry point of FuzzNetCrashEvent: boot a gated machine+fleet with the
+// given seed, then take the campaign's injection path with a countdown of
+// eventK persistence events and a budget of steps fleet micro-steps. A run
+// where the countdown never fires is a valid (uninteresting) input, not an
+// error.
 func NetOneShot(mode mem.PersistMode, seed, eventK uint64, steps uint16) error {
 	cfg := NetConfig{Mode: mode, Clients: 2, Window: 2, StepsPerCrash: 200}
 	cfg.fill()
-	var res NetResult
-	f, err := newNetFuzzer(cfg, seed, faultplane.Stream(seed, ""), &res)
+	f, err := newNetFuzzer(cfg, seed, faultplane.Stream(seed, ""), &NetResult{})
 	if err != nil {
 		return fmt.Errorf("boot: %w", err)
 	}
-	f.m.Memory.ArmCrashAfter(eventK%uint64(cfg.EventWindow) + 1)
-	n := int(steps)%cfg.StepsPerCrash + 1
-	fired := false
-	for step := 0; step < n && !fired; step++ {
-		fired, err = f.step()
-		if err != nil {
-			f.m.Memory.DisarmCrash()
-			return err
-		}
-	}
-	f.m.Memory.DisarmCrash()
-	if !fired {
-		return nil
-	}
-	f.m.Crash()
-	if err := f.m.Restore(); err != nil {
-		return fmt.Errorf("restore: %w", err)
-	}
-	f.fleet.ResyncAfterRestore()
-	_, err = f.oracles.Check()
-	return err
+	fired, err := f.inject(eventK%uint64(cfg.EventWindow)+1, int(steps)%cfg.StepsPerCrash+1)
+	return judge(f, fired, err)
 }

@@ -3,6 +3,7 @@ package crashfuzz
 import (
 	"testing"
 
+	"treesls/internal/faultplane"
 	"treesls/internal/mem"
 )
 
@@ -21,7 +22,7 @@ func TestNetCrashCampaign(t *testing.T) {
 	}
 	total := 0
 	for _, mode := range []mem.PersistMode{mem.ModeEADR, mem.ModeADR} {
-		res, err := RunNet(NetConfig{Mode: mode, Seeds: seeds, CrashesPerSeed: perSeed})
+		res, err := RunNet(faultplane.Spec{Seeds: seeds, RoundsPerSeed: perSeed}, NetConfig{Mode: mode})
 		if err != nil {
 			t.Fatalf("%v campaign: %v", mode, err)
 		}

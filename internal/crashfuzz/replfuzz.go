@@ -28,13 +28,6 @@ type ReplConfig struct {
 	// Method and Hybrid select the checkpoint copy variant.
 	Method checkpoint.CopyMethod
 	Hybrid bool
-	// Seeds are the machine/damage seeds; each seed gets its own machine.
-	Seeds []uint64
-	// CrashesPerSeed is how many crash injections to attempt per seed
-	// (default 8, far below the shared default: every fired crash probes
-	// 3-5 failovers, each a full standby promotion — the campaign's cost
-	// is per-probe, not per-crash).
-	CrashesPerSeed int
 	// EventWindow bounds the armed countdown.
 	EventWindow int
 	// StepsPerCrash bounds the write+checkpoint rounds run while waiting
@@ -56,10 +49,12 @@ type ReplConfig struct {
 	DisableChecksums bool
 }
 
+// replRounds is the repl domain's default rounds per seed, far below the
+// shared default: every fired crash probes 3-5 failovers, each a full
+// standby promotion — the campaign's cost is per-probe, not per-crash.
+const replRounds = 8
+
 func (c *ReplConfig) fill() {
-	if c.CrashesPerSeed == 0 {
-		c.CrashesPerSeed = 8
-	}
 	if c.EventWindow == 0 {
 		c.EventWindow = faultplane.Defaults.EventWindow
 	}
@@ -120,32 +115,24 @@ type replFuzzer struct {
 	faultplane.PreCrashHooks
 }
 
-// replDomain adapts the replication campaign to the fault-plane engine.
-type replDomain struct {
-	cfg ReplConfig
-	res *ReplResult
-}
-
-func (d *replDomain) Name() string        { return "repl" }
-func (d *replDomain) StreamLabel() string { return "" }
-
-func (d *replDomain) Build(seed uint64, rng *rand.Rand) (faultplane.World, error) {
-	return newReplFuzzer(d.cfg, seed, rng, d.res)
-}
-
-// RunRepl executes the campaign. The oracle after every crash: every
-// checkpoint whose acknowledgement had arrived by the probe instant is
-// promotable on the standby with the exact audit digest the primary
-// recorded for it, the promotion is deterministic under retry, and the
-// restored primary is never behind the acknowledged replica.
-func RunRepl(cfg ReplConfig) (ReplResult, error) {
+// domain is the replication campaign's fault-plane domain.
+func (cfg ReplConfig) domain(res *ReplResult) domain {
 	cfg.fill()
+	return domain{"repl", "", func(seed uint64, rng *rand.Rand) (faultplane.World, error) {
+		return newReplFuzzer(cfg, seed, rng, res)
+	}}
+}
+
+// RunRepl executes the campaign (spec.RoundsPerSeed defaults to 8). The
+// oracle after every crash: every checkpoint whose acknowledgement had
+// arrived by the probe instant is promotable on the standby with the exact
+// audit digest the primary recorded for it, the promotion is deterministic
+// under retry, and the restored primary is never behind the acknowledged
+// replica.
+func RunRepl(spec faultplane.Spec, cfg ReplConfig) (ReplResult, error) {
 	var res ReplResult
-	st, err := faultplane.RunCampaign(
-		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.CrashesPerSeed},
-		&replDomain{cfg: cfg, res: &res})
-	res.CrashesFired = st.Injections
-	res.Restores = st.Recoveries
+	st, err := runDomain(spec, replRounds, cfg.domain(&res))
+	res.CrashesFired, res.Restores = st.Injections, st.Recoveries
 	return res, err
 }
 
@@ -195,7 +182,7 @@ func newReplFuzzer(cfg ReplConfig, seed uint64, rng *rand.Rand, res *ReplResult)
 // before the primary restores.
 func (f *replFuzzer) registerOracles() {
 	f.oracles = faultplane.NewRegistry()
-	f.oracles.Register("audit", f.checkAudit)
+	f.oracles.Register("audit", func() error { return auditClean(f.m) })
 	f.oracles.Register("acked-covered", f.checkAckedCovered)
 }
 
@@ -211,13 +198,6 @@ func (f *replFuzzer) Machine() *kernel.Machine { return f.m }
 // Replicator exposes the primary's replicator to composition overlays.
 func (f *replFuzzer) Replicator() *repl.Replicator { return f.rep }
 
-func (f *replFuzzer) checkAudit() error {
-	if la := f.m.LastAudit; f.m.Auditor != nil && !la.Ok() {
-		return fmt.Errorf("audit at %s: %s", la.Where, la.Violations[0])
-	}
-	return nil
-}
-
 // checkAckedCovered holds the restored primary to the replication contract:
 // the primary commits locally before the standby can acknowledge, so a
 // restored primary behind the acknowledged replica would mean the local
@@ -230,44 +210,36 @@ func (f *replFuzzer) checkAckedCovered() error {
 }
 
 // step runs one traffic round — a handful of SETs then a checkpoint (which
-// replicates its delta) — converting an injected power failure into a clean
-// "fired" signal. The armed countdown lands the failure inside a SET's
-// stores, the checkpoint walk, or the commit sequence.
-func (f *replFuzzer) step() (fired bool, err error) {
-	return faultplane.CatchCrash(func() error {
-		f.round++
-		for i := 0; i < f.cfg.WritesPerRound; i++ {
-			key := fmt.Sprintf("k%d", f.rng.Intn(24))
-			val := fmt.Sprintf("r%d-%d", f.round, i)
-			if _, _, err := f.srv.Set(f.rng.Intn(2), []byte(key), []byte(val)); err != nil {
-				return err
-			}
-		}
-		f.m.TakeCheckpoint()
-		return nil
-	})
-}
-
-// Round arms a random persistence-event countdown, runs traffic rounds
-// until it fires, then crashes the primary, probes failover on the
-// replication boundaries at the crash instant, and restores; the engine
-// runs the post-restore oracle registry next.
-func (f *replFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
-	f.lastFired = false
-	k := 1 + f.rng.Intn(f.cfg.EventWindow)
-	f.m.Memory.ArmCrashAfter(uint64(k))
-	fired := false
-	for step := 0; step < f.cfg.StepsPerCrash && !fired; step++ {
-		var err error
-		fired, err = f.step()
-		if err != nil {
-			f.m.Memory.DisarmCrash()
-			return false, err
+// replicates its delta). An armed countdown lands the failure inside a
+// SET's stores, the checkpoint walk, or the commit sequence.
+func (f *replFuzzer) step() error {
+	f.round++
+	for i := 0; i < f.cfg.WritesPerRound; i++ {
+		key := fmt.Sprintf("k%d", f.rng.Intn(24))
+		val := fmt.Sprintf("r%d-%d", f.round, i)
+		if _, _, err := f.srv.Set(f.rng.Intn(2), []byte(key), []byte(val)); err != nil {
+			return err
 		}
 	}
-	f.m.Memory.DisarmCrash()
-	if !fired {
-		return false, nil
+	f.m.TakeCheckpoint()
+	return nil
+}
+
+// Round draws a persistence-event countdown and injects; the engine runs
+// the post-restore oracle registry next.
+func (f *replFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
+	return f.inject(uint64(1+f.rng.Intn(f.cfg.EventWindow)), f.cfg.StepsPerCrash)
+}
+
+// inject is the repl domain's one injection path: arm a power failure k
+// persistence events ahead, run up to n traffic rounds until it fires,
+// then crash the primary, probe failover on the replication boundaries at
+// the crash instant, and restore.
+func (f *replFuzzer) inject(k uint64, n int) (bool, error) {
+	f.lastFired = false
+	fired, err := armedSteps(f.m, k, n, f.step)
+	if !fired || err != nil {
+		return false, err
 	}
 	if err := f.RunPreCrash(); err != nil {
 		return false, err
@@ -277,11 +249,9 @@ func (f *replFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
 	// Probe failover at the crash instant and on each replication boundary
 	// of a randomly chosen ledger entry. The ledger is the standby's view;
 	// it survives the primary's power failure.
-	acked, err := f.probeFailovers(f.res)
-	if err != nil {
+	if f.ackedAtCrash, err = f.probeFailovers(); err != nil {
 		return true, err
 	}
-	f.ackedAtCrash = acked
 	if err := f.m.Restore(); err != nil {
 		return true, fmt.Errorf("restore: %w", err)
 	}
@@ -297,7 +267,7 @@ func (f *replFuzzer) PostRound(rng *rand.Rand) error {
 		return nil
 	}
 	for step := 0; step < 3; step++ {
-		if _, err := f.step(); err != nil {
+		if err := f.step(); err != nil {
 			return err
 		}
 	}
@@ -306,7 +276,8 @@ func (f *replFuzzer) PostRound(rng *rand.Rand) error {
 
 // probeFailovers applies the replication oracle at several instants around
 // the crash. Returns the acknowledged version at the crash instant.
-func (f *replFuzzer) probeFailovers(res *ReplResult) (uint64, error) {
+func (f *replFuzzer) probeFailovers() (uint64, error) {
+	res := f.res
 	now := f.m.Now()
 	probes := []simclock.Time{now}
 	if lg := f.rep.Ledger(); len(lg) > 0 {
@@ -325,56 +296,25 @@ func (f *replFuzzer) probeFailovers(res *ReplResult) (uint64, error) {
 	}
 	ackedAtCrash := f.rep.AckedVersion(now)
 	for _, t := range probes {
-		if err := f.probeOne(t, res); err != nil {
+		promoted, err := probeStandby(f.rep, t)
+		if err != nil {
 			return ackedAtCrash, fmt.Errorf("probe t=%d: %w", t, err)
+		}
+		if promoted {
+			res.Failovers++
+		} else {
+			res.NoAckedAtProbe++
 		}
 	}
 	return ackedAtCrash, nil
 }
 
-// probeOne checks one failover instant: no acknowledged checkpoint means
-// promotion must refuse, an acknowledged one must promote to exactly the
-// digest the primary recorded, and a retried promotion (the mid-failover
-// crash boundary: the first standby build is abandoned and rebuilt from the
-// same durable ledger) must land bit-identically.
-func (f *replFuzzer) probeOne(t simclock.Time, res *ReplResult) error {
-	acked := f.rep.AckedVersion(t)
-	if acked == 0 {
-		res.NoAckedAtProbe++
-		if _, err := f.rep.FailoverAt(t); err == nil {
-			return fmt.Errorf("promoted a standby with no acknowledged checkpoint")
-		}
-		return nil
-	}
-	fo, err := f.rep.FailoverAt(t)
-	if err != nil {
-		return fmt.Errorf("acknowledged checkpoint v%d lost: %w", acked, err)
-	}
-	if fo.Version != acked {
-		return fmt.Errorf("promoted v%d, acknowledged v%d", fo.Version, acked)
-	}
-	if fo.Digest != fo.ExpectedDigest {
-		return fmt.Errorf("standby digest %016x != primary digest %016x at v%d",
-			fo.Digest, fo.ExpectedDigest, fo.Version)
-	}
-	retry, err := f.rep.FailoverAt(t)
-	if err != nil {
-		return fmt.Errorf("failover retry: %w", err)
-	}
-	if retry.Version != fo.Version || retry.Digest != fo.Digest {
-		return fmt.Errorf("failover retry diverged: v%d/%016x then v%d/%016x",
-			fo.Version, fo.Digest, retry.Version, retry.Digest)
-	}
-	res.Failovers++
-	return nil
-}
-
-// ReplOneShot runs a single parameterized replication crash injection — the
-// entry point of FuzzReplCrashEvent. Boot a replicated machine with the
-// given seed and copy variant, arm a power failure eventK persistence events
-// ahead, run up to steps traffic rounds, and if the failure fired, probe the
-// replication boundaries and restore. A run where the countdown never fires
-// is a valid (uninteresting) input, not an error.
+// ReplOneShot runs a single parameterized replication crash injection —
+// the entry point of FuzzReplCrashEvent: boot a replicated machine with the
+// given seed and copy variant, then take the campaign's injection path with
+// a countdown of eventK persistence events and a budget of steps traffic
+// rounds. A run where the countdown never fires is a valid (uninteresting)
+// input, not an error.
 func ReplOneShot(mode mem.PersistMode, variant uint8, seed, eventK uint64, steps uint16) error {
 	cfg := ReplConfig{Mode: mode, StepsPerCrash: 24}
 	switch variant % 3 {
@@ -386,35 +326,10 @@ func ReplOneShot(mode mem.PersistMode, variant uint8, seed, eventK uint64, steps
 		cfg.Method, cfg.Hybrid = checkpoint.MethodCOW, true
 	}
 	cfg.fill()
-	var res ReplResult
-	f, err := newReplFuzzer(cfg, seed, faultplane.Stream(seed, ""), &res)
+	f, err := newReplFuzzer(cfg, seed, faultplane.Stream(seed, ""), &ReplResult{})
 	if err != nil {
 		return fmt.Errorf("boot: %w", err)
 	}
-	f.m.Memory.ArmCrashAfter(eventK%uint64(cfg.EventWindow) + 1)
-	n := int(steps)%cfg.StepsPerCrash + 1
-	fired := false
-	for step := 0; step < n && !fired; step++ {
-		fired, err = f.step()
-		if err != nil {
-			f.m.Memory.DisarmCrash()
-			return err
-		}
-	}
-	f.m.Memory.DisarmCrash()
-	if !fired {
-		return nil
-	}
-	f.m.Crash()
-	ackedAtCrash, err := f.probeFailovers(&res)
-	if err != nil {
-		return err
-	}
-	if err := f.m.Restore(); err != nil {
-		return fmt.Errorf("restore: %w", err)
-	}
-	if got := f.m.Ckpt.CommittedVersion(); got < ackedAtCrash {
-		return fmt.Errorf("restored primary at v%d behind acknowledged replica v%d", got, ackedAtCrash)
-	}
-	return nil
+	fired, err := f.inject(eventK%uint64(cfg.EventWindow)+1, int(steps)%cfg.StepsPerCrash+1)
+	return judge(f, fired, err)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"treesls/internal/checkpoint"
+	"treesls/internal/faultplane"
 	"treesls/internal/mem"
 )
 
@@ -35,12 +36,10 @@ func TestReplCrashCampaign(t *testing.T) {
 	total := 0
 	for _, mode := range []mem.PersistMode{mem.ModeEADR, mem.ModeADR} {
 		for _, v := range variants {
-			res, err := RunRepl(ReplConfig{
-				Mode:           mode,
-				Method:         v.method,
-				Hybrid:         v.hybrid,
-				Seeds:          seeds,
-				CrashesPerSeed: perSeed,
+			res, err := RunRepl(faultplane.Spec{Seeds: seeds, RoundsPerSeed: perSeed}, ReplConfig{
+				Mode:   mode,
+				Method: v.method,
+				Hybrid: v.hybrid,
 			})
 			if err != nil {
 				t.Fatalf("%v/%s campaign: %v", mode, v.name, err)

@@ -33,33 +33,14 @@ const (
 	classCount
 )
 
-func className(class int) string {
-	switch class {
-	case classMidStream:
-		return "mid-stream"
-	case classInstalledUncut:
-		return "installed-uncut"
-	case classMidAnnounce:
-		return "mid-announce"
-	default:
-		return "post-commit"
-	}
-}
+var classNames = [classCount]string{"mid-stream", "installed-uncut", "mid-announce", "post-commit"}
 
-// ReshardConfig parameterizes a reshard crash campaign.
+// ReshardConfig holds the reshard domain's knobs.
 type ReshardConfig struct {
 	// Mode is the persistence model of every shard.
 	Mode mem.PersistMode
-	// Seeds are the cluster/traffic seeds; each seed gets its own cluster.
-	Seeds []uint64
 	// Shards is the starting cluster size (default 3).
 	Shards int
-	// ReshardsPerSeed is how many crash-injected epochs to run per seed
-	// (default 8: an epoch is the domain's whole unit of work — scan,
-	// stream, commit, announce, plus recovery — so 8 epochs already cover
-	// each of the 4 crash classes twice per seed; the shared 40 would
-	// multiply the most expensive campaign's CI cost fivefold).
-	ReshardsPerSeed int
 	// StepsPerCrash bounds micro-steps while driving an epoch to the
 	// desired crash class (default 4000: reaching a late class like
 	// mid-announce means marching an entire migration through scan and
@@ -76,12 +57,16 @@ type ReshardConfig struct {
 	DisableChecksums bool
 }
 
+// reshardRounds is the reshard domain's default rounds (crash-injected
+// epochs) per seed: an epoch is the domain's whole unit of work — scan,
+// stream, commit, announce, plus recovery — so 8 epochs already cover each
+// of the 4 crash classes twice per seed; the shared 40 would multiply the
+// most expensive campaign's CI cost fivefold.
+const reshardRounds = 8
+
 func (c *ReshardConfig) fill() {
 	if c.Shards == 0 {
 		c.Shards = 3
-	}
-	if c.ReshardsPerSeed == 0 {
-		c.ReshardsPerSeed = 8
 	}
 	if c.StepsPerCrash == 0 {
 		c.StepsPerCrash = 4000
@@ -155,28 +140,19 @@ type reshardFuzzer struct {
 	faultplane.PreCrashHooks
 }
 
-// reshardDomain adapts the reshard campaign to the fault-plane engine.
-type reshardDomain struct {
-	cfg ReshardConfig
-	res *ReshardResult
-}
-
-func (d *reshardDomain) Name() string        { return "reshard" }
-func (d *reshardDomain) StreamLabel() string { return "" }
-
-func (d *reshardDomain) Build(seed uint64, rng *rand.Rand) (faultplane.World, error) {
-	return newReshardFuzzer(d.cfg, seed, rng, d.res)
-}
-
-// RunReshard executes the campaign.
-func RunReshard(cfg ReshardConfig) (ReshardResult, error) {
+// domain is the reshard campaign's fault-plane domain.
+func (cfg ReshardConfig) domain(res *ReshardResult) domain {
 	cfg.fill()
+	return domain{"reshard", "", func(seed uint64, rng *rand.Rand) (faultplane.World, error) {
+		return newReshardFuzzer(cfg, seed, rng, res)
+	}}
+}
+
+// RunReshard executes the campaign (spec.RoundsPerSeed defaults to 8).
+func RunReshard(spec faultplane.Spec, cfg ReshardConfig) (ReshardResult, error) {
 	var res ReshardResult
-	st, err := faultplane.RunCampaign(
-		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.ReshardsPerSeed},
-		&reshardDomain{cfg: cfg, res: &res})
-	res.CrashesFired = st.Injections
-	res.Recoveries = st.Recoveries
+	st, err := runDomain(spec, reshardRounds, cfg.domain(&res))
+	res.CrashesFired, res.Recoveries = st.Injections, st.Recoveries
 	return res, err
 }
 
@@ -205,18 +181,7 @@ const (
 	reshardTargetCount
 )
 
-func reshardTargetName(target int) string {
-	switch target {
-	case reshardTargetPower:
-		return "power"
-	case reshardTargetCoord:
-		return "coord"
-	case reshardTargetSource:
-		return "source"
-	default:
-		return "dest"
-	}
-}
+var reshardTargetNames = [reshardTargetCount]string{"power", "coord", "source", "dest"}
 
 // failTarget maps a reshard crash target to its cluster.Fleet.Fail target.
 // The source is a shard that held keys before the epoch: the first old
@@ -238,16 +203,13 @@ func failTarget(target int, oldMembers []int, dest int) int {
 	}
 }
 
-func (f *reshardFuzzer) pickTarget() int {
-	return f.rng.Intn(reshardTargetCount)
-}
-
 func newReshardFuzzer(cfg ReshardConfig, seed uint64, rng *rand.Rand, res *ReshardResult) (*reshardFuzzer, error) {
 	c, err := cluster.New(cluster.Config{
 		Shards:           cfg.Shards,
 		Gated:            true,
 		Persist:          cfg.Mode,
 		Seed:             seed,
+		Audit:            true,
 		Replicas:         cfg.Replicas,
 		DisableChecksums: cfg.DisableChecksums,
 	})
@@ -273,7 +235,7 @@ func newReshardFuzzer(cfg ReshardConfig, seed uint64, rng *rand.Rand, res *Resha
 // registerOracles wires the reshard invariant set in its legacy check
 // order: whole-ring convergence, migration settlement, cut digests, release
 // coverage, acknowledgement justification, sole ownership, client FIFO,
-// duplicate acks.
+// duplicate acks — then the per-shard state-digest audit.
 func (f *reshardFuzzer) registerOracles() {
 	f.oracles = faultplane.NewRegistry()
 	f.oracles.Register("ring-convergence", func() error {
@@ -298,16 +260,7 @@ func (f *reshardFuzzer) registerOracles() {
 		return f.c.VerifyCut(f.c.Coord.Newest())
 	})
 	f.oracles.Register("released-covered", f.c.ReleasedCovered)
-	f.oracles.Register("extsync-justified", func() error {
-		bad, err := f.fleet.CheckJustified()
-		if err != nil {
-			return err
-		}
-		if len(bad) > 0 {
-			return fmt.Errorf("released-but-uncovered response: %s", bad[0])
-		}
-		return nil
-	})
+	f.oracles.Register("extsync-justified", justified(&f.fleet.ClientCore))
 	f.oracles.Register("sole-owner", func() error {
 		twoOwner, err := f.fleet.CheckSoleOwner()
 		if err != nil {
@@ -318,18 +271,9 @@ func (f *reshardFuzzer) registerOracles() {
 		}
 		return nil
 	})
-	f.oracles.Register("client-fifo", func() error {
-		if n := len(f.fleet.Violations); n > 0 {
-			return fmt.Errorf("client FIFO violation: %s", f.fleet.Violations[0])
-		}
-		return nil
-	})
-	f.oracles.Register("dup-acks", func() error {
-		if f.fleet.DupAcks > 0 {
-			return fmt.Errorf("%d duplicate acknowledgements after recovery", f.fleet.DupAcks)
-		}
-		return nil
-	})
+	f.oracles.Register("client-fifo", clientFIFO(&f.fleet.ClientCore))
+	f.oracles.Register("dup-acks", noDupAcks(&f.fleet.ClientCore))
+	f.oracles.Register("shard-audit", shardAudit(f.c))
 }
 
 // Oracles returns the reshard domain's registry.
@@ -358,43 +302,26 @@ func classOf(st cluster.MigrationStatus) int {
 	}
 }
 
-// startEpoch opens a scale-out or scale-in epoch, keeping the membership
-// between 2 and Shards+2 so both directions keep occurring. It returns the
-// destination shard id.
-func (f *reshardFuzzer) startEpoch() (int, error) {
-	members := f.c.Ring.Members()
-	add := f.rng.Intn(2) == 0
-	if len(members) <= 2 {
-		add = true
-	} else if len(members) >= f.cfg.Shards+2 {
-		add = false
-	}
-	if add {
-		return f.c.StartAddShard()
-	}
-	victim := members[f.rng.Intn(len(members))]
-	return victim, f.c.StartRemoveShard(victim)
-}
-
 // Round runs one crash-injected epoch. The crash class rotates with the
 // round index so every boundary is exercised; the target rotates against it
 // rng-driven so (class, target) pairs interleave across rounds and seeds.
-// The engine runs the oracle registry — including whole-ring convergence —
-// after the injection.
+// The epoch is a scale-out or scale-in, keeping the membership between 2
+// and Shards+2 so both directions keep occurring. The engine runs the
+// oracle registry — including whole-ring convergence — after the
+// injection.
 func (f *reshardFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
 	class := round % classCount
-	target := f.pickTarget()
+	target := f.rng.Intn(reshardTargetCount)
 	if err := f.oneEpoch(class, target); err != nil {
-		return false, fmt.Errorf("%s, %s: %w", className(class), reshardTargetName(target), attributeCutDigest(err))
+		return false, fmt.Errorf("%s, %s: %w", classNames[class], reshardTargetNames[target], attributeCutDigest(err))
 	}
 	return true, nil
 }
 
-// oneEpoch starts a reshard, drives it to the requested crash class (with
-// rng jitter inside the class window), injects the failure, and stashes the
-// convergence obligation for the oracles.
+// oneEpoch opens an epoch on an idle protocol, drives it to the
+// requested crash class (with rng jitter inside the class window), and
+// fails target there.
 func (f *reshardFuzzer) oneEpoch(class, target int) error {
-	res := f.res
 	// Recovery can leave a re-driven round in flight; an epoch only opens
 	// on an idle protocol.
 	for step := 0; f.c.CurrentPhase() != cluster.PhaseIdle; step++ {
@@ -405,18 +332,21 @@ func (f *reshardFuzzer) oneEpoch(class, target int) error {
 			return err
 		}
 	}
-	oldV, oldMembers := f.c.Ring.Version(), f.c.Ring.Members()
-	dest, err := f.startEpoch()
+	members := f.c.Ring.Members()
+	add := f.rng.Intn(2) == 0
+	if len(members) <= 2 {
+		add = true
+	} else if len(members) >= f.cfg.Shards+2 {
+		add = false
+	}
+	victim := -1
+	if !add {
+		victim = members[f.rng.Intn(len(members))]
+	}
+	dest, err := f.openEpoch(add, victim)
 	if err != nil {
 		return err
 	}
-	st := f.c.MigrationStatus()
-	if st.Add {
-		res.Adds++
-	} else {
-		res.Removes++
-	}
-	newV, newMembers := st.NewRing, ringAfter(oldMembers, dest, st.Add)
 
 	// Drive to the crash class. Every class is reachable: an epoch starts
 	// in MigScan and marches scan -> stream -> commit -> announce -> done.
@@ -440,8 +370,43 @@ func (f *reshardFuzzer) oneEpoch(class, target int) error {
 			return err
 		}
 	}
+	return f.failAt(target, dest)
+}
 
-	st = f.c.MigrationStatus()
+// openEpoch opens a scale-out epoch (add) or a scale-in epoch retiring
+// victim, and records both rings a recovery may converge to. It returns
+// the epoch's destination: the joining or the leaving shard.
+func (f *reshardFuzzer) openEpoch(add bool, victim int) (int, error) {
+	res := f.res
+	oldV, oldMembers := f.c.Ring.Version(), f.c.Ring.Members()
+	dest := victim
+	var err error
+	if add {
+		dest, err = f.c.StartAddShard()
+	} else {
+		err = f.c.StartRemoveShard(victim)
+	}
+	if err != nil {
+		return 0, err
+	}
+	st := f.c.MigrationStatus()
+	if st.Add {
+		res.Adds++
+	} else {
+		res.Removes++
+	}
+	f.oldV, f.oldMembers = oldV, oldMembers
+	f.newV, f.newMembers = st.NewRing, ringAfter(oldMembers, dest, st.Add)
+	return dest, nil
+}
+
+// failAt fails target wherever the open epoch now stands, after stashing
+// the convergence obligation for the oracles: it is fixed the instant the
+// failure lands — announced (or complete) rolls forward, anything earlier
+// rolls back whole.
+func (f *reshardFuzzer) failAt(target, dest int) error {
+	res := f.res
+	st := f.c.MigrationStatus()
 	switch classOf(st) {
 	case classMidStream:
 		res.MidStream++
@@ -452,13 +417,9 @@ func (f *reshardFuzzer) oneEpoch(class, target int) error {
 	default:
 		res.PostCommit++
 	}
-	// The convergence obligation is fixed at crash time: announced (or
-	// complete) rolls forward, anything earlier rolls back whole.
 	f.wantForward = !st.Active || st.Announced
-	f.oldV, f.oldMembers = oldV, oldMembers
-	f.newV, f.newMembers = newV, newMembers
 
-	victim := failTarget(target, oldMembers, dest)
+	victim := failTarget(target, f.oldMembers, dest)
 	f.lastVictims = f.c.Victims(victim)
 	if err := f.RunPreCrash(); err != nil {
 		return err
@@ -476,7 +437,6 @@ func (f *reshardFuzzer) oneEpoch(class, target int) error {
 	if err := f.fleet.Fail(victim); err != nil {
 		return err
 	}
-
 	if f.wantForward {
 		res.RolledForward++
 	} else {
@@ -533,17 +493,17 @@ func checkRing(c *cluster.Cluster, v uint64, members []int) error {
 }
 
 // ReshardOneShot runs a single parameterized reshard crash injection — the
-// entry point of FuzzReshardEvent. Boot a gated cluster+fleet, run a burst
+// entry point of FuzzReshardEvent: boot a gated cluster+fleet, run a burst
 // of warm-up traffic, open a scale-out (even seed) or scale-in (odd seed)
-// epoch, crash the fuzzed target after an event countdown measured from the
-// epoch's start, recover, and apply the full oracle including whole-ring
-// convergence. A countdown that outlives the step budget is a valid
-// (uninteresting) input.
+// epoch, and fail the fuzzed target after a countdown of eventK cluster
+// events measured from the epoch's start — through the campaign's own
+// epoch-opening and failure code — then apply the full oracle including
+// whole-ring convergence. A countdown that outlives the step budget is a
+// valid (uninteresting) input.
 func ReshardOneShot(mode mem.PersistMode, seed, eventK uint64, target uint8, steps uint16) error {
 	cfg := ReshardConfig{Mode: mode}
 	cfg.fill()
-	var res ReshardResult
-	f, err := newReshardFuzzer(cfg, seed, faultplane.Stream(seed, ""), &res)
+	f, err := newReshardFuzzer(cfg, seed, faultplane.Stream(seed, ""), &ReshardResult{})
 	if err != nil {
 		return fmt.Errorf("boot: %w", err)
 	}
@@ -553,31 +513,14 @@ func ReshardOneShot(mode mem.PersistMode, seed, eventK uint64, target uint8, ste
 			return err
 		}
 	}
-	oldV, oldMembers := f.c.Ring.Version(), f.c.Ring.Members()
-	var dest int
-	if seed%2 == 0 {
-		dest, err = f.c.StartAddShard()
-	} else {
-		dest = oldMembers[int(seed/2)%len(oldMembers)]
-		err = f.c.StartRemoveShard(dest)
-	}
+	members := f.c.Ring.Members()
+	dest, err := f.openEpoch(seed%2 == 0, members[int(seed/2)%len(members)])
 	if err != nil {
 		return err
 	}
-	st := f.c.MigrationStatus()
-	newV, newMembers := st.NewRing, ringAfter(oldMembers, dest, st.Add)
-
-	deadline := f.c.Events() + eventK%96 + 1
-	if fired, err := advanceToEvent(f.fleet, f.c, deadline, int(steps)%cfg.StepsPerCrash+1); !fired || err != nil {
-		return err
+	fired, err := advanceToEvent(f.fleet, f.c, f.c.Events()+eventK%96+1, int(steps)%cfg.StepsPerCrash+1)
+	if fired && err == nil {
+		err = f.failAt(int(target)%reshardTargetCount, dest)
 	}
-	st = f.c.MigrationStatus()
-	f.wantForward = !st.Active || st.Announced
-	f.oldV, f.oldMembers = oldV, oldMembers
-	f.newV, f.newMembers = newV, newMembers
-	if err := f.fleet.Fail(failTarget(int(target)%reshardTargetCount, oldMembers, dest)); err != nil {
-		return err
-	}
-	_, err = f.oracles.Check()
-	return err
+	return judge(f, fired, err)
 }

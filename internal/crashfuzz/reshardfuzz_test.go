@@ -3,6 +3,7 @@ package crashfuzz
 import (
 	"testing"
 
+	"treesls/internal/faultplane"
 	"treesls/internal/mem"
 )
 
@@ -20,7 +21,7 @@ func TestReshardCrashCampaign(t *testing.T) {
 		perSeed = 4
 	}
 	for _, mode := range []mem.PersistMode{mem.ModeEADR, mem.ModeADR} {
-		res, err := RunReshard(ReshardConfig{Mode: mode, Seeds: seeds, ReshardsPerSeed: perSeed})
+		res, err := RunReshard(faultplane.Spec{Seeds: seeds, RoundsPerSeed: perSeed}, ReshardConfig{Mode: mode})
 		if err != nil {
 			t.Fatalf("%v campaign: %v", mode, err)
 		}

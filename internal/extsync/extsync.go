@@ -204,14 +204,6 @@ func (d *Driver) readU64(lane *simclock.Lane, off uint64) uint64 {
 	return v
 }
 
-func (d *Driver) writeU64(lane *simclock.Lane, off uint64, v uint64) {
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
-	}
-	d.ringWrite(lane, off, b[:])
-}
-
 // persistU64 publishes a ring pointer with the ntstore+sfence idiom: an
 // aligned 8-byte store is atomic on real NVM, so the pointer can never
 // tear, and it is durable the moment the call returns (free under eADR).
