@@ -620,7 +620,7 @@ const (
 func commitCheck(v uint64) uint64 {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
-	return pageChecksum(b[:])
+	return mem.PageSum(b[:])
 }
 
 // persistCommitWord publishes version v as the committed global version.

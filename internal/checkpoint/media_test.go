@@ -79,8 +79,8 @@ func TestMemoSumMatchesPageChecksum(t *testing.T) {
 		rng.Read(buf)
 		p := mem.PageID{Kind: mem.KindNVM, Frame: uint32(200 + i)}
 		h.mem.WriteRaw(p, 0, buf)
-		if got, want := h.mem.Sum(p), pageChecksum(h.mem.Data(p)); got != want {
-			t.Fatalf("page %v: memoized sum %#x, pageChecksum %#x", p, got, want)
+		if got, want := h.mem.Sum(p), mem.PageSum(h.mem.Data(p)); got != want {
+			t.Fatalf("page %v: memoized sum %#x, PageSum %#x", p, got, want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"treesls/internal/alloc"
 	"treesls/internal/caps"
@@ -478,12 +477,6 @@ func (m *Manager) latestBackupSlot(cp *caps.CkptPage) int {
 type pageReplica struct {
 	copy mem.PageID
 	sum  uint64
-}
-
-func pageChecksum(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
 }
 
 // updateReplica refreshes the replica + checksum of a backup page after it

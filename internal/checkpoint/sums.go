@@ -59,7 +59,7 @@ func (m *Manager) verifySource(lane *simclock.Lane, p mem.PageID) bool {
 			if lane != nil {
 				lane.Charge(m.model.NVMReadPage + m.model.ChecksumPage)
 			}
-			bad = pageChecksum(m.memory.Data(p)) != want
+			bad = mem.PageSum(m.memory.Data(p)) != want
 		}
 	}
 	if !bad {
@@ -67,7 +67,7 @@ func (m *Manager) verifySource(lane *simclock.Lane, p mem.PageID) bool {
 	}
 	if rep, ok := m.replicas[p]; ok {
 		if m.memory.CheckRead(rep.copy, 0, mem.PageSize) == nil &&
-			pageChecksum(m.memory.Data(rep.copy)) == rep.sum {
+			mem.PageSum(m.memory.Data(rep.copy)) == rep.sum {
 			d := m.memory.CopyPage(p, rep.copy) // full-page store re-establishes ECC
 			if lane != nil {
 				lane.Charge(d)

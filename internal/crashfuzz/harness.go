@@ -133,12 +133,15 @@ func probeStandby(rep *repl.Replicator, t simclock.Time) (promoted bool, err err
 	return true, nil
 }
 
-// auditClean is the "audit" oracle: the state-digest auditor's last
-// verdict on m (every checkpoint and restore is audited) must be clean.
+// auditClean is the "audit" oracle: every state-digest audit of m so far
+// (each checkpoint, publish and restore is audited) must have been clean.
+// It reads the auditor's running total, not LastAudit, which the next
+// clean audit overwrites.
 func auditClean(m *kernel.Machine) error {
-	if la := m.LastAudit; m.Auditor != nil && !la.Ok() {
-		return fmt.Errorf("audit at %s: %d violation(s), first: %s",
-			la.Where, len(la.Violations), la.Violations[0])
+	if a := m.Auditor; a != nil && a.TotalViolations > 0 {
+		f := a.FirstFailure
+		return fmt.Errorf("%d audit violation(s) in %d audits, first at %s: %s",
+			a.TotalViolations, a.Checks, f.Where, f.Violations[0])
 	}
 	return nil
 }

@@ -22,9 +22,11 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// checksum returns the FNV-1a-64 hash of b — the same value as hash/fnv's
-// New64a over b, and the function the memoized frame sums use.
-func checksum(b []byte) uint64 {
+// PageSum returns the FNV-1a-64 hash of b — the same value as hash/fnv's
+// New64a over b. It is the one page-content hash: the memoized frame sums,
+// the checkpoint manager's replica and commit check words, and the
+// auditor's page leaves all use it.
+func PageSum(b []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for _, c := range b {
 		h ^= uint64(c)
@@ -44,7 +46,7 @@ func (m *Memory) Gen(p PageID) uint64 { return m.frame(p).gen }
 func (m *Memory) Sum(p PageID) uint64 {
 	fr := m.frame(p)
 	if !fr.sumOK {
-		fr.sum, fr.sumOK = checksum(fr.data[:]), true
+		fr.sum, fr.sumOK = PageSum(fr.data[:]), true
 	}
 	return fr.sum
 }
@@ -56,7 +58,7 @@ func (m *Memory) StaleSums() []PageID {
 	var bad []PageID
 	for _, d := range [...]*Device{m.nvm, m.dram} {
 		for f, fr := range d.frames {
-			if fr != nil && fr.sumOK && fr.sum != checksum(fr.data[:]) {
+			if fr != nil && fr.sumOK && fr.sum != PageSum(fr.data[:]) {
 				bad = append(bad, PageID{Kind: d.kind, Frame: uint32(f)})
 			}
 		}

@@ -89,7 +89,7 @@ func TestEveryMutationBumpsGenAndInvalidatesSum(t *testing.T) {
 			if m.frame(p).sumOK {
 				t.Error("memoized sum survived the mutation")
 			}
-			if got, want := m.Sum(p), checksum(m.Data(p)); got != want {
+			if got, want := m.Sum(p), PageSum(m.Data(p)); got != want {
 				t.Errorf("Sum = %#x after mutation, fresh hash %#x", got, want)
 			}
 			if bad := m.StaleSums(); len(bad) != 0 {
@@ -114,7 +114,7 @@ func TestCopyPagePassesSumOn(t *testing.T) {
 	if fr := m.frame(dst); !fr.sumOK || fr.sum != want {
 		t.Fatalf("copy did not carry the source's sum: ok=%v %#x want %#x", fr.sumOK, fr.sum, want)
 	}
-	if got := checksum(m.Data(dst)); got != want {
+	if got := PageSum(m.Data(dst)); got != want {
 		t.Fatalf("carried sum %#x != fresh hash of the copy %#x", want, got)
 	}
 }
@@ -134,7 +134,7 @@ func TestChecksumIsFNV1a64(t *testing.T) {
 			t.Fatalf("page %d: Sum %#x, hash/fnv %#x", i, got, want)
 		}
 	}
-	if checksum(nil) != fnv.New64a().Sum64() {
+	if PageSum(nil) != fnv.New64a().Sum64() {
 		t.Fatal("empty-input checksum differs from hash/fnv")
 	}
 }

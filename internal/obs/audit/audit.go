@@ -31,7 +31,6 @@ package audit
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"treesls/internal/alloc"
 	"treesls/internal/caps"
@@ -97,7 +96,7 @@ const (
 )
 
 // pageLeaf encodes one resident page: markContent, then the page's
-// FNV-1a-64 sum (the value PageDigest computes over its bytes) in place of
+// FNV-1a-64 sum (the value mem.PageSum computes over its bytes) in place of
 // its 4 KiB.
 func (d *digest) pageLeaf(p mem.PageID) {
 	d.byte(markContent)
@@ -365,14 +364,6 @@ func rootID(r *caps.ORoot) uint64 {
 	return r.ObjID
 }
 
-// PageDigest hashes one page's content: the FNV-1a-64 sum mem memoizes
-// (mem.Memory.Sum) and each digest folds in per resident page.
-func PageDigest(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
-
 // Result is one audit's outcome.
 type Result struct {
 	// Where labels the audit point ("checkpoint", "restore", ...).
@@ -400,6 +391,9 @@ type Auditor struct {
 	// Checks counts audits run; TotalViolations accumulates across them.
 	Checks          uint64
 	TotalViolations uint64
+	// FirstFailure is the first audit that found a violation: later
+	// clean audits do not hide it.
+	FirstFailure Result
 }
 
 // Check runs every invariant against the current state and computes both
@@ -474,6 +468,9 @@ func (a *Auditor) Check(tree *caps.Tree, where string) Result {
 		res.RuntimeDigest = StateDigest(tree, a.Mem)
 	}
 	a.Checks++
+	if a.TotalViolations == 0 && !res.Ok() {
+		a.FirstFailure = res
+	}
 	a.TotalViolations += uint64(len(res.Violations))
 	return res
 }

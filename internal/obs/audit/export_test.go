@@ -9,7 +9,7 @@ import (
 // freshSum is the reference page leaf: it hashes the page's bytes afresh
 // instead of reading mem's memo.
 func freshSum(memory *mem.Memory) func(mem.PageID) uint64 {
-	return func(p mem.PageID) uint64 { return PageDigest(memory.Data(p)) }
+	return func(p mem.PageID) uint64 { return mem.PageSum(memory.Data(p)) }
 }
 
 // FreshStateDigest, FreshBackupDigest and FreshRestorableDigest are the

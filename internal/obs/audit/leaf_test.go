@@ -81,8 +81,8 @@ func requireMemoEqualsFresh(t *testing.T, m *kernel.Machine, where string) {
 		t.Fatalf("%s: RestorableDigest %#x != fresh %#x", where, got, want)
 	}
 	for _, p := range residentPages(m) {
-		if got, want := m.Memory.Sum(p), audit.PageDigest(m.Memory.Data(p)); got != want {
-			t.Fatalf("%s: frame %v: Sum %#x != PageDigest %#x", where, p, got, want)
+		if got, want := m.Memory.Sum(p), mem.PageSum(m.Memory.Data(p)); got != want {
+			t.Fatalf("%s: frame %v: Sum %#x != PageSum %#x", where, p, got, want)
 		}
 	}
 	if stale := m.Memory.StaleSums(); len(stale) > 0 {

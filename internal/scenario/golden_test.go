@@ -2,9 +2,10 @@ package scenario
 
 // Cross-commit goldens for the scenario event logs. TestScenarioDeterminism
 // only compares two runs of the same build against each other; these pin
-// every TestScenarioTable and TestReshardClean script's Digest, Events and Acked to the values
-// the harness produced before the client-core refactor, so a change in
-// any acknowledgement, crash instant or final counter fails here.
+// every TestScenarioTable and TestReshardClean script's Digest, Events and
+// Acked — machine and cluster worlds alike — to the values the harness
+// produced before the client-core refactor, so a change in any
+// acknowledgement, crash instant or final counter fails here.
 //
 // To re-capture after an INTENTIONAL behaviour change (never for a
 // refactor), run with MIGRATION_CAPTURE=1 and paste the logged literals.
@@ -21,6 +22,18 @@ type scenarioGolden struct {
 }
 
 var scenarioGoldens = map[string]scenarioGolden{
+	// Machine world.
+	"single-early-crash": {Digest: 0x222b153cd783bc6d, Events: 67, Acked: 12},
+	"mid-run-crash":      {Digest: 0x9094d614dff793f5, Events: 131, Acked: 24},
+	"double-crash":       {Digest: 0x395f84c684da4466, Events: 131, Acked: 24},
+	"crash-storm":        {Digest: 0xc147263251e67004, Events: 122, Acked: 20},
+	"wide-window":        {Digest: 0x58f76f12db53f4f8, Events: 221, Acked: 32},
+	"many-clients":       {Digest: 0x4f9b7cbc61f25c04, Events: 211, Acked: 40},
+	"slow-interval":      {Digest: 0x796fe7b32fb8f32d, Events: 96, Acked: 18},
+	"fast-interval":      {Digest: 0xd6650c2863c3e2af, Events: 96, Acked: 18},
+	"manual-checkpoints": {Digest: 0xa2491280d9f5dfd8, Events: 67, Acked: 12},
+	"late-crash":         {Digest: 0xd5ecdb84081d1e8, Events: 60, Acked: 12},
+	// Cluster world.
 	"early-power":          {Digest: 0xf5ba326f8287f31f, Events: 174, Acked: 24},
 	"mid-shard0":           {Digest: 0x8d625f9a7e7c11e7, Events: 170, Acked: 24},
 	"mid-shard1":           {Digest: 0x875d52e90f4d75f9, Events: 176, Acked: 24},
