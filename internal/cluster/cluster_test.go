@@ -43,6 +43,13 @@ func checkClean(t *testing.T, f *Fleet, where string) {
 	if err := f.c.ReleasedCovered(); err != nil {
 		t.Fatalf("%s: %v", where, err)
 	}
+	var acked uint64
+	for j := 0; j < f.Keys(); j++ {
+		acked += f.Acked(j)
+	}
+	if f.TotalAcked() != acked {
+		t.Fatalf("%s: TotalAcked = %d, per-key sum %d", where, f.TotalAcked(), acked)
+	}
 }
 
 // TestClusterBoot: New leaves every shard committed at the boot cut, with

@@ -78,8 +78,8 @@ type Device struct {
 
 // frame is one materialized 4 KiB frame. Beside the bytes it carries
 // host-side fields that never influence simulated time: a write generation,
-// bumped by every primitive that mutates the bytes, a memoized FNV-1a-64
-// sum of the bytes, valid until the next mutation, and the slot of its ADR
+// bumped by every primitive that mutates the bytes, a memoized PageSum
+// of the bytes, valid until the next mutation, and the slot of its ADR
 // write-buffer state. The bytes are a separate allocation, and the slot an
 // int32 in the header's padding, so the header stays in the 32-byte size
 // class.

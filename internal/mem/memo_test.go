@@ -2,7 +2,8 @@ package mem
 
 import (
 	"bytes"
-	"hash/fnv"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -59,24 +60,30 @@ func memoCases() []memoCase {
 	}
 }
 
+// prepare builds a machine whose page tc.page holds fill, flushed and
+// fenced, with tc's setup applied: ready for its sum to be memoized.
+func (tc memoCase) prepare(fill []byte) *Memory {
+	m := newADRMemory(3)
+	if tc.page.Kind == KindDRAM {
+		for m.AllocDRAM() != tc.page {
+		}
+	}
+	m.WriteRaw(tc.page, 0, fill)
+	m.FlushPage(tc.page)
+	m.Fence()
+	if tc.setup != nil {
+		tc.setup(m, tc.page)
+	}
+	return m
+}
+
 // TestEveryMutationBumpsGenAndInvalidatesSum: each store primitive must
 // bump the frame's generation and drop its memoized sum, so the next Sum
 // re-hashes the new bytes.
 func TestEveryMutationBumpsGenAndInvalidatesSum(t *testing.T) {
 	for _, tc := range memoCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			m := newADRMemory(3)
-			p := tc.page
-			if p.Kind == KindDRAM {
-				for m.AllocDRAM() != p {
-				}
-			}
-			m.WriteRaw(p, 0, bytes.Repeat([]byte{0xA5}, PageSize))
-			m.FlushPage(p)
-			m.Fence()
-			if tc.setup != nil {
-				tc.setup(m, p)
-			}
+			m, p := tc.prepare(bytes.Repeat([]byte{0xA5}, PageSize)), tc.page
 			m.Sum(p)
 			gen := m.Gen(p)
 			if !m.frame(p).sumOK {
@@ -119,24 +126,115 @@ func TestCopyPagePassesSumOn(t *testing.T) {
 	}
 }
 
-// TestChecksumIsFNV1a64: the memoized sum is hash/fnv's FNV-1a-64.
-func TestChecksumIsFNV1a64(t *testing.T) {
-	m := newTestMemory()
-	rng := rand.New(rand.NewSource(1))
-	buf := make([]byte, PageSize)
-	for i := 0; i < 8; i++ {
-		rng.Read(buf)
-		p := PageID{Kind: KindNVM, Frame: uint32(i)}
-		m.WriteRaw(p, 0, buf)
-		h := fnv.New64a()
-		h.Write(buf)
-		if got, want := m.Sum(p), h.Sum64(); got != want {
-			t.Fatalf("page %d: Sum %#x, hash/fnv %#x", i, got, want)
+// seededPage returns a 4 KiB page of pseudo-random bytes drawn from seed.
+func seededPage(seed int64) []byte {
+	b := make([]byte, PageSize)
+	rand.New(rand.NewSource(seed)).Read(b)
+	return b
+}
+
+// TestPageSumWordChange: any change confined to one 8-byte word changes the
+// sum (the property PageSum's doc comment argues), the length is part of
+// the sum, and the memoized Sum always equals PageSum over the bytes.
+func TestPageSumWordChange(t *testing.T) {
+	t.Run("bit-flips", func(t *testing.T) {
+		page := seededPage(1)
+		want := PageSum(page)
+		for bit := 0; bit < 8*PageSize; bit++ {
+			page[bit/8] ^= 1 << (bit % 8)
+			if PageSum(page) == want {
+				t.Fatalf("flipping bit %d left the sum at %#x", bit, want)
+			}
+			page[bit/8] ^= 1 << (bit % 8)
 		}
-	}
-	if PageSum(nil) != fnv.New64a().Sum64() {
-		t.Fatal("empty-input checksum differs from hash/fnv")
-	}
+	})
+	t.Run("scrambles", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2))
+		page := seededPage(3)
+		want := PageSum(page)
+		for i := 0; i < 4096; i++ {
+			// Odd i: one whole 64-byte line; even i: one 8-byte word.
+			size := 8
+			if i%2 == 1 {
+				size = LineSize
+			}
+			off := rng.Intn(PageSize/size) * size
+			orig := append([]byte(nil), page[off:off+size]...)
+			for bytes.Equal(page[off:off+size], orig) {
+				rng.Read(page[off : off+size])
+			}
+			if PageSum(page) == want {
+				t.Fatalf("scramble %d of %d bytes at %d left the sum at %#x", i, size, off, want)
+			}
+			copy(page[off:], orig)
+		}
+	})
+	t.Run("lengths", func(t *testing.T) {
+		// Zero-padding the tail word must not alias lengths, and every
+		// bit of every short input counts (commitCheck hashes 8 bytes).
+		buf := seededPage(4)[:40]
+		seen := map[uint64]string{}
+		for n := 0; n <= len(buf); n++ {
+			for _, in := range []struct {
+				name string
+				b    []byte
+			}{{"zeros", make([]byte, n)}, {"seeded", buf[:n]}} {
+				sum := PageSum(in.b)
+				if prev, dup := seen[sum]; dup && n > 0 { // both are empty at n == 0
+					t.Fatalf("%d %s bytes and %s share the sum %#x", n, in.name, prev, sum)
+				}
+				seen[sum] = fmt.Sprintf("%d %s bytes", n, in.name)
+				for bit := 0; bit < 8*n; bit++ {
+					in.b[bit/8] ^= 1 << (bit % 8)
+					if PageSum(in.b) == sum {
+						t.Fatalf("%d %s bytes: flipping bit %d left the sum", n, in.name, bit)
+					}
+					in.b[bit/8] ^= 1 << (bit % 8)
+				}
+			}
+		}
+	})
+	t.Run("memo", func(t *testing.T) {
+		m := newTestMemory()
+		for i := 0; i < 8; i++ {
+			p := PageID{Kind: KindNVM, Frame: uint32(i)}
+			m.WriteRaw(p, 0, seededPage(int64(i)))
+			if got, want := m.Sum(p), PageSum(m.Data(p)); got != want {
+				t.Fatalf("page %d: Sum %#x, PageSum %#x", i, got, want)
+			}
+		}
+		// Every mutation primitive, CopyPage, rot and crash damage
+		// included: the sum moves exactly when the bytes do.
+		for _, tc := range memoCases() {
+			m, p := tc.prepare(seededPage(5)), tc.page
+			before, sum := append([]byte(nil), m.Data(p)...), m.Sum(p)
+			tc.mutate(m, p)
+			after := m.Sum(p)
+			if want := PageSum(m.Data(p)); after != want {
+				t.Errorf("%s: Sum %#x, PageSum %#x", tc.name, after, want)
+			}
+			if changed := !bytes.Equal(before, m.Data(p)); changed != (after != sum) {
+				t.Errorf("%s: bytes changed %v, sum changed %v", tc.name, changed, after != sum)
+			}
+		}
+	})
+}
+
+// FuzzPageSumWordChange: xoring a non-zero mask into any one word of any
+// seeded page changes its sum.
+func FuzzPageSumWordChange(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, word uint16, mask uint64) {
+		if mask == 0 {
+			t.Skip("a zero mask changes nothing")
+		}
+		page := seededPage(seed)
+		want := PageSum(page)
+		off := 8 * (int(word) % (PageSize / 8))
+		binary.LittleEndian.PutUint64(page[off:], binary.LittleEndian.Uint64(page[off:])^mask)
+		if PageSum(page) == want {
+			t.Fatalf("mask %#x at word %d left the sum at %#x", mask, off/8, want)
+		}
+	})
 }
 
 // TestGenOfFreshFrame: a frame nobody wrote reads generation 0.

@@ -32,6 +32,7 @@ type ClientCore struct {
 	keysPerClient int
 	keys          []coreKey
 	perClient     []uint64 // un-acked requests per client, summed over its keys
+	totalAcked    uint64   // sum of every key's acked
 	describe      func(j int) string
 	peek          func(j int) (uint64, error)
 
@@ -114,13 +115,7 @@ func (c *ClientCore) Key(j int) []byte { return c.keys[j].key }
 func (c *ClientCore) Acked(j int) uint64 { return c.keys[j].acked }
 
 // TotalAcked sums acknowledged requests across all keys.
-func (c *ClientCore) TotalAcked() uint64 {
-	var t uint64
-	for i := range c.keys {
-		t += c.keys[i].acked
-	}
-	return t
-}
+func (c *ClientCore) TotalAcked() uint64 { return c.totalAcked }
 
 // Value builds request req's value on key j: the 8-byte big-endian request
 // index padded with a key-seasoned pattern to ValueBytes (CounterValue
@@ -161,6 +156,7 @@ func (c *ClientCore) Receive(r Receipt) {
 	switch {
 	case r.Req == k.acked+1:
 		k.acked++
+		c.totalAcked++
 		c.perClient[r.Conn/c.keysPerClient]--
 		c.Latencies = append(c.Latencies, r.Receive.Sub(r.Submit))
 		if t := r.Receive.Add(c.think); t > k.nextSendAt {

@@ -289,3 +289,46 @@ func TestCounterValue(t *testing.T) {
 		t.Errorf("short value: CounterValue = %d, want 0", got)
 	}
 }
+
+// TestTotalAckedCountsInOrderAcksOnly: the running total moves with
+// in-order acknowledgements alone — not with sends, duplicates, gaps or a
+// rewind — so it always equals the per-key sum.
+func TestTotalAckedCountsInOrderAcksOnly(t *testing.T) {
+	cfg, err := FleetConfig{Clients: 2, Window: 4}.Defaulted(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")}
+	c := NewClientCore(cfg, keys, func(j int) string { return string(keys[j]) },
+		func(int) (uint64, error) { return 0, nil })
+	check := func(where string, want uint64) {
+		t.Helper()
+		var sum uint64
+		for j := range keys {
+			sum += c.Acked(j)
+		}
+		if c.TotalAcked() != sum || sum != want {
+			t.Fatalf("%s: TotalAcked = %d, per-key sum %d, want %d", where, c.TotalAcked(), sum, want)
+		}
+	}
+	for j := range keys {
+		c.Send(j)
+		c.Send(j)
+	}
+	check("sends", 0)
+	c.Receive(Receipt{Conn: 0, Req: 1})
+	c.Receive(Receipt{Conn: 0, Req: 2})
+	c.Receive(Receipt{Conn: 3, Req: 1})
+	check("in-order acks", 3)
+	c.Receive(Receipt{Conn: 0, Req: 2})
+	c.Receive(Receipt{Conn: 1, Req: 2})
+	check("duplicate and gap", 3)
+	if c.DupAcks != 1 || len(c.Violations) != 1 {
+		t.Fatalf("DupAcks %d, violations %v: want one of each", c.DupAcks, c.Violations)
+	}
+	c.Rewind(0, nil)
+	check("rewind", 3)
+	c.Send(3)
+	c.Receive(Receipt{Conn: 3, Req: 2})
+	check("after rewind", 4)
+}

@@ -17,9 +17,9 @@
 //     committed snapshot, with PMO page content read through an independent
 //     reimplementation of the §4.2/§4.3.3 version rules.
 //
-// Digests are two-level 64-bit FNV-1a. The outer level hashes a canonical
-// byte encoding of the object fields; each resident page enters it not as
-// its 4 KiB of content but as its own FNV-1a-64 sum (the inner level),
+// Digests are two-level 64-bit word hashes. The outer level streams a
+// canonical encoding of the object fields; each resident page enters it not
+// as its 4 KiB of content but as its own mem.PageSum (the inner level),
 // read from mem's generation-keyed memo (mem.Memory.Sum). A digest therefore
 // costs O(pages), not O(resident bytes). The memo is safe to trust here
 // because every byte mutator — InjectRot, InjectPoison and ADR crash damage
@@ -39,65 +39,71 @@ import (
 	"treesls/internal/mem"
 )
 
-// digest is an FNV-1a accumulator with canonical encoders. Tags separate
+// digest is a word-step accumulator with canonical encoders. Tags separate
 // fields of variable-length encodings so no two distinct states collide by
-// concatenation ambiguity. sum yields a page's FNV-1a-64 content sum, the
-// inner level of the two-level encoding (mem.Memory.Sum in every digest
-// this package exports).
+// concatenation ambiguity. sum yields a page's word-hash content sum
+// (mem.PageSum), the inner level of the two-level encoding (mem.Memory.Sum
+// in every digest this package exports).
+//
+// A u64 enters in one word step, mem.MixWord followed by an xorshift; a
+// byte string enters as its length, its 8-byte little-endian words, then
+// its trailing bytes; a lone byte enters in one FNV-1a-style xor-multiply
+// step. Each step is a bijection of the state for a fixed input and
+// injective in the input for a fixed state, so a change to one encoded
+// field always changes the running state at that field.
 type digest struct {
 	h   uint64
 	sum func(mem.PageID) uint64
 }
 
 const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
+	digestSeed = 14695981039346656037
+	bytePrime  = 1099511628211
 )
 
 func newDigest(sum func(mem.PageID) uint64) *digest {
-	return &digest{h: fnvOffset, sum: sum}
+	return &digest{h: digestSeed, sum: sum}
 }
 
 func (d *digest) byte(b byte) {
 	d.h ^= uint64(b)
-	d.h *= fnvPrime
+	d.h *= bytePrime
 }
 
 func (d *digest) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		d.byte(byte(v >> (8 * i)))
-	}
+	h := mem.MixWord(d.h, v)
+	d.h = h ^ h>>32
 }
 
-func (d *digest) bytes(b []byte) {
+func (d *digest) bytes(b []byte) { stream(d, b) }
+
+func (d *digest) str(s string) { stream(d, s) }
+
+// stream encodes a byte string: its length, then a word step per 8-byte
+// little-endian chunk, then a byte step per trailing byte.
+func stream[S string | []byte](d *digest, b S) {
 	d.u64(uint64(len(b)))
-	h := d.h
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
+	for ; len(b) >= 8; b = b[8:] {
+		d.u64(uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56)
 	}
-	d.h = h
-}
-
-func (d *digest) str(s string) {
-	d.u64(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		d.byte(s[i])
+	for i := 0; i < len(b); i++ {
+		d.byte(b[i])
 	}
 }
 
 // Page-slot markers in the canonical encoding.
 const (
-	markContent  = 0 // followed by the page's FNV-1a-64 content sum
+	markContent  = 0 // followed by the page's content sum (mem.PageSum)
 	markSwapped  = 1 // page lives on the swap device
 	markNil      = 2 // slot exists but holds no page
 	markNoSource = 3 // backup entry with no recoverable source
 	markEternal  = 4 // eternal PMO content excluded (RestorableDigest)
 )
 
-// pageLeaf encodes one resident page: markContent, then the page's
-// FNV-1a-64 sum (the value mem.PageSum computes over its bytes) in place of
-// its 4 KiB.
+// pageLeaf encodes one resident page: markContent, then the page's word
+// hash (the value mem.PageSum computes over its bytes) in place of its
+// 4 KiB.
 func (d *digest) pageLeaf(p mem.PageID) {
 	d.byte(markContent)
 	d.u64(d.sum(p))

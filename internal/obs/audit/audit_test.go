@@ -484,9 +484,9 @@ func TestStateDigestStability(t *testing.T) {
 		name      string
 		got, want uint64
 	}{
-		{"StateDigest", audit.StateDigest(m.Tree, m.Memory), 0x7aefe3eabb0fc960},
-		{"BackupDigest", audit.BackupDigest(m.Ckpt, m.Memory), 0x328bb99ecbf78446},
-		{"RestorableDigest", audit.RestorableDigest(m.Ckpt, m.Memory), 0x18bf2e52fcfc5df6},
+		{"StateDigest", audit.StateDigest(m.Tree, m.Memory), 0x9a20546235df58c7},
+		{"BackupDigest", audit.BackupDigest(m.Ckpt, m.Memory), 0x5a59340d388da429},
+		{"RestorableDigest", audit.RestorableDigest(m.Ckpt, m.Memory), 0xea2beac14ca8d7a2},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %#x, pinned %#x", c.name, c.got, c.want)

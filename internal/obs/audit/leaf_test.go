@@ -66,7 +66,7 @@ func committedBackupPages(m *kernel.Machine) []mem.PageID {
 
 // requireMemoEqualsFresh asserts that each digest read through mem's memo
 // equals the same digest over freshly hashed page bytes, and that every
-// resident frame's memoized sum is the fresh FNV-1a-64 of its bytes.
+// resident frame's memoized sum is the fresh PageSum of its bytes.
 func requireMemoEqualsFresh(t *testing.T, m *kernel.Machine, where string) {
 	t.Helper()
 	if m.Tree != nil {
